@@ -3,8 +3,10 @@
 //! Times the full tune pipeline on the same small GEMM the criterion
 //! `decision_search` bench uses, reports the trial engine's charged
 //! trials and cache hit-rate for one tune, and writes everything to
-//! `BENCH_search.json` next to the repo root — alongside the recorded
-//! pre-trial-engine number, so the speedup claim is auditable.
+//! `BENCH_search.json` next to the repo root. The pre-trial-engine
+//! number is carried along as `before_us_other_host`: it was measured on
+//! a different machine, so it is history, not a baseline for `after_us`,
+//! and no speedup is derived from it.
 //!
 //! Usage: `cargo run --release -p prescaler-bench --bin bench_search
 //! [iterations]` (default 5; wall-time is the minimum over iterations,
@@ -16,8 +18,9 @@ use prescaler_sim::SystemModel;
 use std::time::Instant;
 
 /// `search/tune_gemm_small` us/iter recorded by criterion at the commit
-/// before the trial engine + VM fast path landed (sample_size 10).
-const BEFORE_US: f64 = 1_096_957.863;
+/// before the trial engine + VM fast path landed (sample_size 10), on a
+/// different host than any later run: not comparable with `after_us`.
+const BEFORE_US_OTHER_HOST: f64 = 1_096_957.863;
 
 fn main() {
     let iters: usize = std::env::args()
@@ -68,8 +71,7 @@ fn main() {
         .collect::<Vec<_>>()
         .join(", ");
     let json = format!(
-        "{{\n  \"benchmark\": \"search/tune_gemm_small\",\n  \"before_us\": {BEFORE_US:.3},\n  \"after_us\": {after_us:.3},\n  \"speedup\": {:.3},\n  \"runs_us\": [{runs_json}],\n  \"trials\": {},\n  \"cache_hits\": {},\n  \"cache_hit_rate\": {hit_rate:.4},\n  \"executions\": {}\n}}\n",
-        BEFORE_US / after_us,
+        "{{\n  \"benchmark\": \"search/tune_gemm_small\",\n  \"before_us_other_host\": {BEFORE_US_OTHER_HOST:.3},\n  \"after_us\": {after_us:.3},\n  \"runs_us\": [{runs_json}],\n  \"trials\": {},\n  \"cache_hits\": {},\n  \"cache_hit_rate\": {hit_rate:.4},\n  \"executions\": {}\n}}\n",
         tuned.trials,
         tuned.cache_hits,
         stats.executions,
@@ -78,10 +80,7 @@ fn main() {
     std::fs::write(&path, &json).expect("write BENCH_search.json");
 
     println!();
-    println!(
-        "tune_gemm_small: {after_us:.3} us (min of {iters}), before {BEFORE_US:.3} us -> {:.2}x",
-        BEFORE_US / after_us
-    );
+    println!("tune_gemm_small: {after_us:.3} us (min of {iters})");
     println!(
         "one tune: {} charged trials, {} cache hits ({:.1}% hit rate), {} kernel executions",
         tuned.trials,

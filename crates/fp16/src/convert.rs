@@ -1,18 +1,56 @@
 //! Bit-level conversion routines between binary16, binary32 and binary64.
 //!
 //! All narrowing conversions use round-to-nearest, ties-to-even, computed on
-//! integer bit patterns so the result is identical on every host platform.
+//! bit patterns so the result is identical on every host platform.
+//!
+//! The binary32 ↔ binary16 pair is on the hot path of every half-precision
+//! kernel, so both use the classic branch-light formulations: narrowing
+//! rebiases the exponent and rounds with one carry-propagating add (a
+//! magic-number f32 add aligns subnormal results), widening shifts the
+//! fields into place and rebiases (a magic-number f32 subtract normalizes
+//! subnormal inputs). The general softfloat kernel (`narrow_to_f16`) stays
+//! the binary64 path and, under `cfg(test)`, the oracle both fast routines
+//! are checked against bit for bit.
+
+/// `2^16` as binary32 bits: the smallest magnitude whose binary16 result
+/// is infinite regardless of rounding (everything from here up is
+/// infinity or NaN).
+const F32_F16_OVERFLOW: u32 = (127 + 16) << 23;
+/// `2^-14` as binary32 bits: the smallest binary16 normal.
+const F32_F16_MIN_NORMAL: u32 = (127 - 14) << 23;
+/// `0.5` as binary32 bits. Its unit in the last place is `2^-24`, the
+/// binary16 subnormal step, so `x + 0.5` rounds `x` (RNE, in hardware) to
+/// a binary16 subnormal whose integer significand sits in the low bits.
+const F32_DENORM_MAGIC: u32 = ((127 - 15) + (23 - 10) + 1) << 23;
 
 /// Converts a binary32 bit pattern to a binary16 bit pattern (RNE).
+///
+/// Bit-identical to the softfloat path on all 2^32 inputs, NaN payloads
+/// included (see the tests).
+#[inline]
 pub(crate) fn f32_to_f16_bits(bits: u32) -> u16 {
-    narrow_to_f16(
-        u64::from(bits >> 31),
-        i32::try_from((bits >> 23) & 0xFF).expect("8-bit field"),
-        u64::from(bits & 0x007F_FFFF),
-        23,
-        127,
-        0xFF,
-    )
+    let sign = ((bits >> 16) & 0x8000) as u16;
+    let abs = bits & 0x7FFF_FFFF;
+    let magnitude = if abs >= F32_F16_OVERFLOW {
+        if abs > 0x7F80_0000 {
+            // Quiet NaN keeping the top payload bits; the forced quiet bit
+            // keeps a signalling NaN from narrowing to infinity.
+            0x7E00 | ((abs >> 13) & 0x03FF) as u16
+        } else {
+            0x7C00
+        }
+    } else if abs < F32_F16_MIN_NORMAL {
+        // Subnormal or zero result: the hardware add does the rounding.
+        let aligned = f32::from_bits(abs) + f32::from_bits(F32_DENORM_MAGIC);
+        (aligned.to_bits() - F32_DENORM_MAGIC) as u16
+    } else {
+        // Normal result: rebias the exponent, then add just under half an
+        // ulp plus the kept lsb (ties to even). The carry may bump the
+        // exponent, up to and including infinity.
+        let odd = (abs >> 13) & 1;
+        ((abs - ((127 - 15) << 23) + 0x0FFF + odd) >> 13) as u16
+    };
+    sign | magnitude
 }
 
 /// Converts a binary64 bit pattern to a binary16 bit pattern (RNE).
@@ -102,7 +140,45 @@ fn shift_round_rne(sig: u64, shift: u32) -> u64 {
 }
 
 /// Converts a binary16 bit pattern to a binary32 bit pattern. Exact.
+///
+/// Bit-identical to the softfloat path on all 2^16 inputs (see the tests).
+#[inline]
 pub(crate) fn f16_bits_to_f32(bits: u16) -> u32 {
+    const SHIFTED_EXP: u32 = 0x7C00 << 13;
+    let h = u32::from(bits);
+    let shifted = (h & 0x7FFF) << 13;
+    let exp = shifted & SHIFTED_EXP;
+    let mut out = shifted + ((127 - 15) << 23);
+    if exp == SHIFTED_EXP {
+        // Infinity / NaN: push the exponent to all-ones, payload in place.
+        out += (128 - 16) << 23;
+    } else if exp == 0 {
+        // Zero / subnormal: give the significand an implicit bit at
+        // 2^-14, then subtract that bit back out in f32, which is exact
+        // and normalizes the result.
+        out = (f32::from_bits(out + (1 << 23)) - f32::from_bits(F32_F16_MIN_NORMAL)).to_bits();
+    }
+    out | ((h & 0x8000) << 16)
+}
+
+/// The softfloat binary32 → binary16 narrowing the fast path replaced,
+/// kept as its test oracle.
+#[cfg(test)]
+pub(crate) fn f32_to_f16_bits_softfloat(bits: u32) -> u16 {
+    narrow_to_f16(
+        u64::from(bits >> 31),
+        i32::try_from((bits >> 23) & 0xFF).expect("8-bit field"),
+        u64::from(bits & 0x007F_FFFF),
+        23,
+        127,
+        0xFF,
+    )
+}
+
+/// The field-by-field binary16 → binary32 widening the fast path
+/// replaced, kept as its test oracle.
+#[cfg(test)]
+pub(crate) fn f16_bits_to_f32_softfloat(bits: u16) -> u32 {
     let sign = u32::from(bits >> 15) << 31;
     let exp = u32::from((bits >> 10) & 0x1F);
     let frac = u32::from(bits & 0x03FF);
@@ -312,6 +388,75 @@ mod tests {
             };
             assert_eq!(got, expected, "x = {x}");
             x += 977.7573; // irregular stride to hit varied fractions
+        }
+    }
+
+    /// SplitMix64: a tiny seeded generator so the sampled sweep is the
+    /// same on every run without a dependency.
+    fn splitmix(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    fn assert_narrowing_matches_oracle(bits: u32) {
+        let fast = f32_to_f16_bits(bits);
+        let soft = f32_to_f16_bits_softfloat(bits);
+        assert_eq!(
+            fast, soft,
+            "f32 bits {bits:#010x}: fast {fast:#06x} vs softfloat {soft:#06x}"
+        );
+    }
+
+    #[test]
+    fn every_f16_widening_matches_the_softfloat_oracle() {
+        for bits in 0..=u16::MAX {
+            let fast = f16_bits_to_f32(bits);
+            let soft = f16_bits_to_f32_softfloat(bits);
+            assert_eq!(
+                fast, soft,
+                "f16 bits {bits:#06x}: fast {fast:#010x} vs softfloat {soft:#010x}"
+            );
+        }
+    }
+
+    #[test]
+    fn seeded_f32_narrowings_match_the_softfloat_oracle() {
+        // 2^24 inputs: every f32 whose exponent borders a binary16
+        // boundary (around 2^-25, 2^-14 and 2^16) with its low fraction
+        // bits swept densely, then random bit patterns. Half of the random
+        // draws keep their exponent within binary16's reach so the
+        // rounding paths, not the saturating ones, get most of the sample.
+        for exp in [102u32, 103, 112, 113, 142, 143, 255] {
+            for low in 0..1u32 << 16 {
+                for sign in [0, 0x8000_0000] {
+                    let frac = (low << 7) | (low & 0x7F);
+                    assert_narrowing_matches_oracle(sign | (exp << 23) | frac);
+                }
+            }
+        }
+        let mut state = 0x5EED_F16F_0000_0001;
+        for i in 0..(1u32 << 24) - 7 * (1 << 17) {
+            let r = splitmix(&mut state);
+            let bits = if i % 2 == 0 {
+                r as u32
+            } else {
+                let exp = 100 + (r >> 32) as u32 % 46;
+                (r as u32 & 0x807F_FFFF) | (exp << 23)
+            };
+            assert_narrowing_matches_oracle(bits);
+        }
+    }
+
+    /// The full 2^32 sweep, ~20 s in release mode:
+    /// `cargo test --release -p prescaler-fp16 -- --ignored every_f32`.
+    #[test]
+    #[ignore = "exhaustive 2^32 sweep; run explicitly in release mode"]
+    fn every_f32_narrowing_matches_the_softfloat_oracle() {
+        for bits in 0..=u32::MAX {
+            assert_narrowing_matches_oracle(bits);
         }
     }
 }

@@ -157,7 +157,7 @@ impl FloatVec {
                 FloatVec::F64(v.iter().map(|x| x.to_f64()).collect())
             }
             (FloatVec::F32(v), Precision::Half) => {
-                FloatVec::F16(v.iter().map(|&x| F16::from_f64(f64::from(x))).collect())
+                FloatVec::F16(v.iter().map(|&x| F16::from_f32(x)).collect())
             }
             (FloatVec::F32(v), Precision::Double) => {
                 FloatVec::F64(v.iter().map(|&x| f64::from(x)).collect())

@@ -214,37 +214,45 @@ pub enum FloatBinOp {
 }
 
 impl FloatBinOp {
-    fn apply_f64(self, x: f64, y: f64) -> f64 {
-        match self {
-            FloatBinOp::Add => x + y,
-            FloatBinOp::Sub => x - y,
-            FloatBinOp::Mul => x * y,
-            FloatBinOp::Div => x / y,
-            FloatBinOp::Min => x.min(y),
-            FloatBinOp::Max => x.max(y),
-        }
+    /// The op in binary64. Shared by the interpreter and the VM, so the
+    /// two agree bit for bit (NaNs included, see [`first_nan_f64`]).
+    #[inline]
+    pub(crate) fn apply_f64(self, x: f64, y: f64) -> f64 {
+        first_nan_f64(
+            x,
+            match self {
+                FloatBinOp::Add => x + y,
+                FloatBinOp::Sub => x - y,
+                FloatBinOp::Mul => x * y,
+                FloatBinOp::Div => x / y,
+                FloatBinOp::Min => x.min(y),
+                FloatBinOp::Max => x.max(y),
+            },
+        )
     }
 
-    fn apply_f32(self, x: f32, y: f32) -> f32 {
-        match self {
-            FloatBinOp::Add => x + y,
-            FloatBinOp::Sub => x - y,
-            FloatBinOp::Mul => x * y,
-            FloatBinOp::Div => x / y,
-            FloatBinOp::Min => x.min(y),
-            FloatBinOp::Max => x.max(y),
-        }
+    /// The op in binary32 (see [`FloatBinOp::apply_f64`]).
+    #[inline]
+    pub(crate) fn apply_f32(self, x: f32, y: f32) -> f32 {
+        first_nan_f32(
+            x,
+            match self {
+                FloatBinOp::Add => x + y,
+                FloatBinOp::Sub => x - y,
+                FloatBinOp::Mul => x * y,
+                FloatBinOp::Div => x / y,
+                FloatBinOp::Min => x.min(y),
+                FloatBinOp::Max => x.max(y),
+            },
+        )
     }
 
+    /// The op in binary16: widen to f32, compute, round once. The f32
+    /// significand (24 bits ≥ 2·11 + 2) makes that double rounding
+    /// innocuous (Figueroa), so this is correctly rounded binary16
+    /// arithmetic, rounded like the [`F16`] operators.
     fn apply_f16(self, x: F16, y: F16) -> F16 {
-        match self {
-            FloatBinOp::Add => x + y,
-            FloatBinOp::Sub => x - y,
-            FloatBinOp::Mul => x * y,
-            FloatBinOp::Div => x / y,
-            FloatBinOp::Min => x.min(y),
-            FloatBinOp::Max => x.max(y),
-        }
+        F16::from_f32(self.apply_f32(x.to_f32(), y.to_f32()))
     }
 
     fn apply_int(self, x: i64, y: i64) -> i64 {
@@ -275,6 +283,32 @@ impl FloatBinOp {
             FloatBinOp::Min => "min",
             FloatBinOp::Max => "max",
         }
+    }
+}
+
+/// Pins the NaN a binary op returns when its first operand `x` is NaN and
+/// so is the raw result `r`: `x` itself, quietened. IEEE 754 leaves the
+/// choice between two NaN operands open, and the compiler may commute
+/// `+`, `*`, `min` and `max` at any call site, so without this pin two
+/// engines computing the same op could return NaNs of different sign or
+/// payload. A NaN from a single NaN operand or from an invalid operation
+/// (`inf - inf`) is already deterministic and passes through.
+#[inline(always)]
+fn first_nan_f64(x: f64, r: f64) -> f64 {
+    if r.is_nan() && x.is_nan() {
+        f64::from_bits(x.to_bits() | 1 << 51)
+    } else {
+        r
+    }
+}
+
+/// [`first_nan_f64`] in binary32.
+#[inline(always)]
+fn first_nan_f32(x: f32, r: f32) -> f32 {
+    if r.is_nan() && x.is_nan() {
+        f32::from_bits(x.to_bits() | 1 << 22)
+    } else {
+        r
     }
 }
 
@@ -452,6 +486,31 @@ mod tests {
     #[should_panic(expected = "expected an integer")]
     fn as_int_panics_on_float() {
         let _ = Scalar::F64(1.0).as_int();
+    }
+
+    #[test]
+    fn two_nan_operands_return_the_first_quietened() {
+        // Opposite signs and distinct payloads, the first one signalling:
+        // every op at every precision returns the first NaN, quietened.
+        let (x, y) = (f64::from_bits(0xFFF0_0000_0000_0001 | 1 << 50), f64::NAN);
+        let quiet_x = x.to_bits() | 1 << 51;
+        for op in [
+            FloatBinOp::Add,
+            FloatBinOp::Sub,
+            FloatBinOp::Mul,
+            FloatBinOp::Div,
+            FloatBinOp::Min,
+            FloatBinOp::Max,
+        ] {
+            assert_eq!(op.apply_f64(x, y).to_bits(), quiet_x, "{op:?} f64");
+            assert_eq!(op.apply_f64(y, x).to_bits(), y.to_bits(), "{op:?} f64");
+            let (xs, ys) = (x as f32, y as f32);
+            let r = Scalar::binop(op, Scalar::F32(xs), Scalar::F32(ys)).as_f64();
+            assert_eq!((r as f32).to_bits(), xs.to_bits() | 1 << 22, "{op:?} f32");
+            let (xh, yh) = (F16::from_bits(0xFD01), F16::from_bits(0x7E00));
+            let r = Scalar::binop(op, Scalar::F16(xh), Scalar::F16(yh)).as_f64();
+            assert_eq!(F16::from_f64(r).to_bits(), 0xFF01, "{op:?} f16");
+        }
     }
 
     #[test]

@@ -11,11 +11,30 @@
 //! **bit-identical buffer contents and identical [`OpCounts`]** to
 //! [`crate::interp::run_kernel`].
 //!
-//! Two implementation points matter for the equivalence:
+//! Three implementation points matter for the equivalence:
 //!
-//! * Float registers hold `f64` values that are always exactly
-//!   representable at the operand's static precision, so computing a
-//!   binary16/32 operation by rounding the `f64` inputs is exact.
+//! * **The register invariant.** Float registers hold `f64` values that
+//!   are always exactly representable at their static precision: loads
+//!   widen exactly, constants, casts and scalar arguments are rounded once
+//!   when produced, and every op rounds its result to its precision. The
+//!   one value that enters float math unrounded, an `Int` operand of a
+//!   float binop, is widened by an uncounted `IToF` at the op's promoted
+//!   precision, exactly as `Scalar::binop` rounds `i as f64` to that
+//!   precision, so `f * i` and `i + f` keep the invariant too (comparisons
+//!   widen ints to Double: they compare exact `f64` values).
+//! * **Reduced-precision ops on exact operands.** An operand exact at
+//!   Half or Single converts to `f32` losslessly, so a Single op is the
+//!   `f32` op and a Half op is `F16::from_f32((a as f32) op (b as f32))`:
+//!   widen, compute in binary32, round once. That is the interpreter's
+//!   `F16` softfloat op bit for bit, and correctly rounded binary16
+//!   arithmetic by Figueroa's double-rounding theorem (binary32 carries
+//!   24 ≥ 2·11 + 2 significand bits). Both engines run the same
+//!   `FloatBinOp` arithmetic, which also pins which NaN comes out when
+//!   both operands are NaN. Narrowing to binary16 for a `Store` or `Cvt`
+//!   picks its path at compile time from the value's static precision: a
+//!   Half or Single value takes the fast f32 narrowing, a Double value
+//!   the single-rounding `F16::from_f64` (through f32 it would round
+//!   twice).
 //! * Counting is *static per straight-line region*: the compiler
 //!   pre-computes each region's [`OpCounts`] delta and the VM adds it once
 //!   per execution, which is exact because within a region every counted
@@ -93,8 +112,14 @@ enum Op {
         dst: FReg,
         a: FReg,
     },
-    /// Round to a (different) float precision.
-    Cvt { prec: Precision, dst: FReg, a: FReg },
+    /// Round to a (different) float precision from the value's static
+    /// precision `from` (which picks the narrowing path, see [`round_to`]).
+    Cvt {
+        prec: Precision,
+        from: Precision,
+        dst: FReg,
+        a: FReg,
+    },
     /// Exact i64 → f64, then round to the precision.
     IToF { prec: Precision, dst: FReg, a: IReg },
     /// Truncating f64 → i64 (C cast semantics).
@@ -102,7 +127,14 @@ enum Op {
     /// `f[dst] = buffers[buf][i[idx]]` widened to f64.
     Load { buf: u16, idx: IReg, dst: FReg },
     /// `buffers[buf][i[idx]] = f[src]` rounded to the element type.
-    Store { buf: u16, idx: IReg, src: FReg },
+    /// `from` is the value's static precision: it picks the narrowing
+    /// path at compile time (see [`to_half`]).
+    Store {
+        buf: u16,
+        idx: IReg,
+        src: FReg,
+        from: Precision,
+    },
     /// `f[dst] = i[cond] != 0 ? f[a] : f[b]`.
     SelectF {
         cond: IReg,
@@ -555,11 +587,11 @@ impl<'k> Compiler<'k> {
                 let (v, vt) = self.expr(value, Some(elem))?;
                 // Mirror the interpreter: a store converts unless the value
                 // is already a float of the element precision.
-                let src = match vt {
-                    CTy::F(p) if p == elem => v.freg(),
-                    CTy::F(_) => {
+                let (src, from) = match vt {
+                    CTy::F(p) if p == elem => (v.freg(), p),
+                    CTy::F(p) => {
                         self.pending.converts += 1;
-                        v.freg() // Store itself rounds to the element type
+                        (v.freg(), p) // Store itself rounds to the element type
                     }
                     CTy::Int => {
                         self.pending.converts += 1;
@@ -569,7 +601,7 @@ impl<'k> Compiler<'k> {
                             dst,
                             a: v.ireg(),
                         });
-                        dst
+                        (dst, Precision::Double)
                     }
                     CTy::Bool => {
                         return Err(ExecError::KindError(format!(
@@ -581,7 +613,12 @@ impl<'k> Compiler<'k> {
                 let Some(&b) = self.buf_index.get(buf) else {
                     return Err(ExecError::NotABuffer(buf.clone()));
                 };
-                self.ops.push(Op::Store { buf: b, idx, src });
+                self.ops.push(Op::Store {
+                    buf: b,
+                    idx,
+                    src,
+                    from,
+                });
             }
             Stmt::For {
                 var,
@@ -704,6 +741,7 @@ impl<'k> Compiler<'k> {
                     let dst = self.alloc_f();
                     self.ops.push(Op::Cvt {
                         prec: p,
+                        from: q,
                         dst,
                         a: v.freg(),
                     });
@@ -837,8 +875,8 @@ impl<'k> Compiler<'k> {
                     }
                     _ => {
                         let p = promote_cty(ta, tb);
-                        let fa = self.float_operand(a, ta);
-                        let fb = self.float_operand(b, tb);
+                        let fa = self.float_operand(a, ta, p);
+                        let fb = self.float_operand(b, tb, p);
                         let slot = self.pending.at_mut(p);
                         match op {
                             FloatBinOp::Add
@@ -882,8 +920,10 @@ impl<'k> Compiler<'k> {
                     _ => {
                         let p = promote_cty(ta, tb);
                         self.pending.at_mut(p).cmp += 1;
-                        let fa = self.float_operand(a, ta);
-                        let fb = self.float_operand(b, tb);
+                        // Comparisons are exact on f64, so an int
+                        // operand widens exactly, never to `p`.
+                        let fa = self.float_operand(a, ta, Precision::Double);
+                        let fb = self.float_operand(b, tb, Precision::Double);
                         let dst = self.alloc_i();
                         self.ops.push(Op::FCmp {
                             op: *op,
@@ -976,16 +1016,19 @@ impl<'k> Compiler<'k> {
         }
     }
 
-    /// Materializes an operand as a float register for a promoted binop
-    /// (uncounted, mirroring `Scalar::binop`'s internal widening). Callers
-    /// reject boolean operands before reaching here, so only ints widen.
-    fn float_operand(&mut self, v: Val, t: CTy) -> FReg {
+    /// Materializes an operand as a float register for an op at
+    /// precision `p` (uncounted, mirroring `Scalar::binop`'s internal
+    /// widening). An int rounds to `p` here, exactly as `Scalar::binop`
+    /// rounds `i as f64` to the promoted precision, so the op's operands
+    /// are exact at `p` like every other float register. Callers reject
+    /// boolean operands before reaching here, so only ints widen.
+    fn float_operand(&mut self, v: Val, t: CTy, p: Precision) -> FReg {
         match t {
             CTy::F(_) | CTy::Bool => v.freg(),
             CTy::Int => {
                 let dst = self.alloc_f();
                 self.ops.push(Op::IToF {
-                    prec: Precision::Double,
+                    prec: p,
                     dst,
                     a: v.ireg(),
                 });
@@ -1388,55 +1431,39 @@ fn promote_cty(a: CTy, b: CTy) -> Precision {
     }
 }
 
-/// Rounds an exact f64 representation to a precision.
+/// Rounds `v`, exact at static precision `from`, to precision `p`.
 #[inline]
-fn round_to(p: Precision, v: f64) -> f64 {
+fn round_to(p: Precision, from: Precision, v: f64) -> f64 {
     match p {
-        Precision::Half => F16::from_f64(v).to_f64(),
+        Precision::Half => to_half(v, from).to_f64(),
         Precision::Single => f64::from(v as f32),
         Precision::Double => v,
     }
 }
 
+/// A binary op at precision `p` on operands exact at `p` (the register
+/// invariant). Exact operands make `a as f32` lossless for Half and
+/// Single, so a Half op is the interpreter's own: widen to f32, compute,
+/// round once (see the module docs).
 #[inline]
 fn apply_fbin(p: Precision, op: FloatBinOp, a: f64, b: f64) -> f64 {
     match p {
-        Precision::Double => apply_f64(op, a, b),
-        Precision::Single => {
-            let (x, y) = (a as f32, b as f32);
-            f64::from(match op {
-                FloatBinOp::Add => x + y,
-                FloatBinOp::Sub => x - y,
-                FloatBinOp::Mul => x * y,
-                FloatBinOp::Div => x / y,
-                FloatBinOp::Min => x.min(y),
-                FloatBinOp::Max => x.max(y),
-            })
-        }
-        Precision::Half => {
-            let (x, y) = (F16::from_f64(a), F16::from_f64(b));
-            (match op {
-                FloatBinOp::Add => x + y,
-                FloatBinOp::Sub => x - y,
-                FloatBinOp::Mul => x * y,
-                FloatBinOp::Div => x / y,
-                FloatBinOp::Min => x.min(y),
-                FloatBinOp::Max => x.max(y),
-            })
-            .to_f64()
-        }
+        Precision::Double => op.apply_f64(a, b),
+        Precision::Single => f64::from(op.apply_f32(a as f32, b as f32)),
+        Precision::Half => F16::from_f32(op.apply_f32(a as f32, b as f32)).to_f64(),
     }
 }
 
-#[inline]
-fn apply_f64(op: FloatBinOp, a: f64, b: f64) -> f64 {
-    match op {
-        FloatBinOp::Add => a + b,
-        FloatBinOp::Sub => a - b,
-        FloatBinOp::Mul => a * b,
-        FloatBinOp::Div => a / b,
-        FloatBinOp::Min => a.min(b),
-        FloatBinOp::Max => a.max(b),
+/// Narrows a register value to binary16 on the path its static precision
+/// `from` allows: a Half or Single value is exact in f32, so the fast f32
+/// narrowing rounds it once; a Double value needs the direct single
+/// rounding of [`F16::from_f64`] (going through f32 would round twice).
+#[inline(always)]
+fn to_half(v: f64, from: Precision) -> F16 {
+    if from == Precision::Double {
+        F16::from_f64(v)
+    } else {
+        F16::from_f32(v as f32)
     }
 }
 
@@ -1446,7 +1473,8 @@ fn apply_fun(p: Precision, op: UnaryFn, a: f64) -> f64 {
     // Route through the reference implementation to guarantee identical
     // semantics (precision-faithful special functions).
     let s = match p {
-        Precision::Half => Scalar::F16(F16::from_f64(a)),
+        // `a` is exact at Half, so the f32 narrowing is lossless.
+        Precision::Half => Scalar::F16(F16::from_f32(a as f32)),
         Precision::Single => Scalar::F32(a as f32),
         Precision::Double => Scalar::F64(a),
     };
@@ -1671,8 +1699,12 @@ impl CompiledKernel {
                     reg,
                     slot,
                 } => match args[*slot as usize] {
-                    Some(ArgValue::Float(v)) => fregs[*reg as usize] = round_to(*prec, v),
-                    Some(ArgValue::Int(v)) => fregs[*reg as usize] = round_to(*prec, v as f64),
+                    Some(ArgValue::Float(v)) => {
+                        fregs[*reg as usize] = round_to(*prec, Precision::Double, v);
+                    }
+                    Some(ArgValue::Int(v)) => {
+                        fregs[*reg as usize] = round_to(*prec, Precision::Double, v as f64);
+                    }
                     None => {
                         restore(buffers, bufs);
                         return Err(ExecError::MissingArg(name.clone()));
@@ -2047,11 +2079,12 @@ impl CompiledKernel {
                         Op::FUn { prec, op, dst, a } => {
                             fregs[dst as usize] = apply_fun(prec, op, fregs[a as usize]);
                         }
-                        Op::Cvt { prec, dst, a } => {
-                            fregs[dst as usize] = round_to(prec, fregs[a as usize]);
+                        Op::Cvt { prec, from, dst, a } => {
+                            fregs[dst as usize] = round_to(prec, from, fregs[a as usize]);
                         }
                         Op::IToF { prec, dst, a } => {
-                            fregs[dst as usize] = round_to(prec, iregs[a as usize] as f64);
+                            fregs[dst as usize] =
+                                round_to(prec, Precision::Double, iregs[a as usize] as f64);
                         }
                         Op::FToI { dst, a } => {
                             iregs[dst as usize] = fregs[a as usize].trunc() as i64;
@@ -2059,8 +2092,13 @@ impl CompiledKernel {
                         Op::Load { buf, idx, dst } => {
                             fregs[dst as usize] = mem.load(buf, iregs[idx as usize])?;
                         }
-                        Op::Store { buf, idx, src } => {
-                            mem.store(buf, iregs[idx as usize], fregs[src as usize])?;
+                        Op::Store {
+                            buf,
+                            idx,
+                            src,
+                            from,
+                        } => {
+                            mem.store(buf, iregs[idx as usize], fregs[src as usize], from)?;
                         }
                         Op::SelectF { cond, dst, a, b } => {
                             fregs[dst as usize] = if iregs[cond as usize] != 0 {
@@ -2165,9 +2203,10 @@ impl CompiledKernel {
 trait BufMem {
     /// Reads element `i` of buffer slot `buf`, widened to f64.
     fn load(&self, buf: u16, i: i64) -> Result<f64, ExecError>;
-    /// Writes `v` to element `i` of buffer slot `buf`, rounding to the
-    /// buffer's precision exactly like [`FloatVec::set`].
-    fn store(&mut self, buf: u16, i: i64, v: f64) -> Result<(), ExecError>;
+    /// Writes `v`, exact at static precision `from`, to element `i` of
+    /// buffer slot `buf`, rounding to the buffer's precision exactly like
+    /// [`FloatVec::set`].
+    fn store(&mut self, buf: u16, i: i64, v: f64, from: Precision) -> Result<(), ExecError>;
 }
 
 /// Whole-buffer access: the sequential execution strategy.
@@ -2193,7 +2232,7 @@ impl BufMem for FullMem<'_> {
     }
 
     #[inline(always)]
-    fn store(&mut self, buf: u16, i: i64, v: f64) -> Result<(), ExecError> {
+    fn store(&mut self, buf: u16, i: i64, v: f64, from: Precision) -> Result<(), ExecError> {
         let (name, data) = &mut self.0[buf as usize];
         let len = data.len();
         if i < 0 || i as usize >= len {
@@ -2204,7 +2243,7 @@ impl BufMem for FullMem<'_> {
             });
         }
         match data {
-            FloatVec::F16(vec) => vec[i as usize] = F16::from_f64(v),
+            FloatVec::F16(vec) => vec[i as usize] = to_half(v, from),
             FloatVec::F32(vec) => vec[i as usize] = v as f32,
             FloatVec::F64(vec) => vec[i as usize] = v,
         }
@@ -2291,7 +2330,7 @@ impl BufMem for ChunkMem<'_> {
     }
 
     #[inline(always)]
-    fn store(&mut self, buf: u16, i: i64, v: f64) -> Result<(), ExecError> {
+    fn store(&mut self, buf: u16, i: i64, v: f64, from: Precision) -> Result<(), ExecError> {
         match &mut self.slots[buf as usize] {
             ChunkSlot::Shared((name, data)) => {
                 // The analysis only shares buffers the kernel never
@@ -2318,7 +2357,7 @@ impl BufMem for ChunkMem<'_> {
                 let in_seg = |n: usize| k >= 0 && (k as usize) < n;
                 match seg {
                     Seg::H(vec) if in_seg(vec.len()) => {
-                        vec[k as usize] = F16::from_f64(v);
+                        vec[k as usize] = to_half(v, from);
                         Ok(())
                     }
                     Seg::S(vec) if in_seg(vec.len()) => {
@@ -2403,6 +2442,7 @@ mod tests {
     use crate::dsl::*;
     use crate::interp::run_kernel;
     use crate::typeck::check_kernel;
+    use crate::value::Scalar;
 
     /// Runs a kernel through both engines and asserts identical buffers
     /// and counts.
@@ -2871,5 +2911,121 @@ mod tests {
         compiled.run(&mut bufs, &launch).unwrap();
         // With a=2 and x=0, y must stay 1.0 everywhere and all n items ran.
         assert_eq!(bufs["y"].get(n - 1), 1.0);
+    }
+
+    /// SplitMix64, so the sampled sweeps below are seeded and repeatable.
+    fn splitmix(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    const ALL_BINOPS: [FloatBinOp; 6] = [
+        FloatBinOp::Add,
+        FloatBinOp::Sub,
+        FloatBinOp::Mul,
+        FloatBinOp::Div,
+        FloatBinOp::Min,
+        FloatBinOp::Max,
+    ];
+
+    /// The VM's Half op on register values must equal the interpreter's
+    /// `F16` softfloat op bit for bit, NaN payloads and signs included.
+    fn assert_half_binop_matches_scalar(op: FloatBinOp, x: F16, y: F16) {
+        let vm = apply_fbin(Precision::Half, op, x.to_f64(), y.to_f64());
+        let reference = Scalar::binop(op, Scalar::F16(x), Scalar::F16(y)).as_f64();
+        assert_eq!(
+            vm.to_bits(),
+            reference.to_bits(),
+            "{op:?}({:#06x}, {:#06x}): vm {vm} vs Scalar::binop {reference}",
+            x.to_bits(),
+            y.to_bits()
+        );
+    }
+
+    #[test]
+    fn half_binops_match_scalar_binop_on_special_values() {
+        let specials: Vec<F16> = [
+            0x0000u16, 0x0001, 0x0002, 0x03FF, 0x0400, 0x0401, 0x3555, 0x3BFF, 0x3C00, 0x3C01,
+            0x3E00, 0x4000, 0x4200, 0x67FF, 0x6800, 0x6801, 0x7A00, 0x7BFE, 0x7BFF, 0x7C00, 0x7C01,
+            0x7D55, 0x7E00, 0x7FFF,
+        ]
+        .iter()
+        .flat_map(|&b| [b, b | 0x8000])
+        .map(F16::from_bits)
+        .collect();
+        for op in ALL_BINOPS {
+            for &x in &specials {
+                for &y in &specials {
+                    assert_half_binop_matches_scalar(op, x, y);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn half_binops_match_scalar_binop_on_random_pairs() {
+        let mut state = 0xF16_0B1A_5EED;
+        for _ in 0..1 << 20 {
+            let r = splitmix(&mut state);
+            let (x, y) = (F16::from_bits(r as u16), F16::from_bits((r >> 16) as u16));
+            let op = ALL_BINOPS[(r >> 32) as usize % ALL_BINOPS.len()];
+            assert_half_binop_matches_scalar(op, x, y);
+        }
+    }
+
+    #[test]
+    fn store_narrowing_of_exact_values_matches_direct_rounding() {
+        // A Double value just above a binary16 tie: through f32 it would
+        // round to the tie and then to even, so Double keeps from_f64.
+        let above_tie = 1.0 + 2f64.powi(-11) + 2f64.powi(-40);
+        assert_eq!(to_half(above_tie, Precision::Double).to_bits(), 0x3C01);
+        assert_eq!(F16::from_f32(above_tie as f32).to_bits(), 0x3C00);
+        // Every Half value, and a seeded sample of Single values (the
+        // rounding cases), narrow identically through the f32 path.
+        for bits in 0..=u16::MAX {
+            let v = F16::from_bits(bits).to_f64();
+            assert_eq!(
+                to_half(v, Precision::Half).to_bits(),
+                F16::from_f64(v).to_bits()
+            );
+        }
+        let mut state = 0x5707_E5EED;
+        for _ in 0..1 << 20 {
+            let v = f64::from(f32::from_bits(splitmix(&mut state) as u32));
+            assert_eq!(
+                to_half(v, Precision::Single).to_bits(),
+                F16::from_f64(v).to_bits(),
+                "{v:e}"
+            );
+        }
+    }
+
+    #[test]
+    fn uncast_int_operands_round_to_the_promoted_precision() {
+        // `x * n` with a Half `x` and an int `n` beyond 2048: the int must
+        // round to binary16 before the multiply, exactly as the
+        // interpreter's `Scalar::binop` does (2049 → 2048, 4097 → 4096).
+        for p in [Precision::Half, Precision::Single, Precision::Double] {
+            let k = kernel("int_mix")
+                .buffer("x", p, Access::Read)
+                .buffer("y", p, Access::Write)
+                .int_param("n")
+                .body(vec![
+                    let_("i", global_id(0)),
+                    store(
+                        "y",
+                        var("i"),
+                        load("x", var("i")) * (var("n") + var("i")) + var("i") * int(70_001),
+                    ),
+                ]);
+            let xs = [1.0, -3.0, 0.5, 1e-3, 7.0, -0.0];
+            let mut bufs = BufferMap::new();
+            bufs.insert("x".into(), FloatVec::from_f64_slice(&xs, p));
+            bufs.insert("y".into(), FloatVec::zeros(xs.len(), p));
+            assert_equiv(&k, bufs, &Launch::one_d(xs.len()).arg_int("n", 2049));
+        }
     }
 }

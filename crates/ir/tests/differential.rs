@@ -3,6 +3,13 @@
 //! (bit-identical buffers and operation counts), and — because the
 //! generator only emits integer-driven control flow — the static analysis
 //! must predict the dynamic counts exactly.
+//!
+//! The generator reaches the corners binary16 rounding depends on:
+//! literals that overflow to infinity or land in the subnormal range
+//! (whose sums and products make NaNs), and uncast integer operands of
+//! float arithmetic with magnitudes past 2048, where rounding the integer
+//! to binary16 changes it. Stored elements compare by bit pattern, so a
+//! NaN payload or a sign that differs is a divergence too.
 
 use prescaler_ir::analysis::count_launch;
 use prescaler_ir::dsl::*;
@@ -59,9 +66,28 @@ fn arb_int_expr(depth: u32, in_loop: bool) -> BoxedStrategy<Expr> {
 /// Float expressions. May reference the scalar `alpha` and loads from
 /// `a`/`b`; the locals `t0`/`t1` only once `locals` is true (they are
 /// declared at the top of the body).
+/// Float literals: mostly small, plus magnitudes that overflow binary16
+/// (±7e4), sit in its subnormal range (±3e-6), or span its whole range.
+fn arb_float_lit() -> BoxedStrategy<Expr> {
+    prop_oneof![
+        6 => (-4.0f64..4.0).prop_map(flit),
+        1 => prop_oneof![Just(7e4), Just(-7e4), Just(3e-6), Just(-3e-6)].prop_map(flit),
+        1 => (-7e4f64..7e4).prop_map(flit),
+    ]
+    .boxed()
+}
+
+/// Integer operands for float arithmetic, offset up to ±70000 so that
+/// rounding them to binary16 (exact only up to 2048) matters.
+fn arb_wide_int_expr(in_loop: bool) -> BoxedStrategy<Expr> {
+    (arb_int_expr(1, in_loop), -70_000i64..70_000)
+        .prop_map(|(i, c)| i + int(c))
+        .boxed()
+}
+
 fn arb_float_expr(depth: u32, in_loop: bool, locals: bool) -> BoxedStrategy<Expr> {
     let mut leaves = vec![
-        (-4.0f64..4.0).prop_map(flit).boxed(),
+        arb_float_lit(),
         Just(var("alpha")).boxed(),
         arb_int_expr(1, in_loop)
             .prop_map(|i| load("a", clamped(i)))
@@ -80,6 +106,7 @@ fn arb_float_expr(depth: u32, in_loop: bool, locals: bool) -> BoxedStrategy<Expr
     }
     let sub = arb_float_expr(depth - 1, in_loop, locals);
     let isub = arb_int_expr(1, in_loop);
+    let wide = arb_wide_int_expr(in_loop);
     prop_oneof![
         4 => leaf,
         2 => (sub.clone(), sub.clone()).prop_map(|(a, b)| a + b),
@@ -92,7 +119,10 @@ fn arb_float_expr(depth: u32, in_loop: bool, locals: bool) -> BoxedStrategy<Expr
         1 => (sub.clone(), sub.clone(), sub.clone())
             .prop_map(|(c, a, b)| select(gt(c, flit(0.5)), a, b)),
         // Int/float mixing through arithmetic.
-        1 => (isub, sub).prop_map(|(i, f)| f * cast(Precision::Double, i)),
+        1 => (isub, sub.clone()).prop_map(|(i, f)| f * cast(Precision::Double, i)),
+        // Uncast ints promote to the float operand's precision.
+        1 => (wide.clone(), sub.clone()).prop_map(|(i, f)| f * i),
+        1 => (wide, sub).prop_map(|(i, f)| i + f),
     ]
     .boxed()
 }
@@ -148,6 +178,15 @@ fn arb_kernel() -> impl Strategy<Value = Kernel> {
         })
 }
 
+/// Element `i`'s raw bit pattern at the buffer's own precision.
+fn elem_bits(v: &FloatVec, i: usize) -> u64 {
+    match v {
+        FloatVec::F16(xs) => u64::from(xs[i].to_bits()),
+        FloatVec::F32(xs) => u64::from(xs[i].to_bits()),
+        FloatVec::F64(xs) => xs[i].to_bits(),
+    }
+}
+
 fn buffers(pa: Precision, pb: Precision) -> BufferMap {
     let mut m = BufferMap::new();
     let xs: Vec<f64> = (0..BUF_LEN)
@@ -198,10 +237,9 @@ proptest! {
             let x = &bufs_v[name];
             let y = &bufs_p[name];
             for i in 0..x.len() {
-                let (a, b) = (x.get(i), y.get(i));
-                prop_assert!(
-                    a == b || (a.is_nan() && b.is_nan()),
-                    "parallel buffer {}[{}]: seq {} vs par {}", name, i, a, b
+                prop_assert_eq!(
+                    elem_bits(x, i), elem_bits(y, i),
+                    "parallel buffer {}[{}]: seq {} vs par {}", name, i, x.get(i), y.get(i)
                 );
             }
         }
@@ -210,10 +248,9 @@ proptest! {
             let y = &bufs_v[name];
             prop_assert_eq!(x.len(), y.len());
             for i in 0..x.len() {
-                let (a, b) = (x.get(i), y.get(i));
-                prop_assert!(
-                    a == b || (a.is_nan() && b.is_nan()),
-                    "buffer {}[{}]: interp {} vs vm {}", name, i, a, b
+                prop_assert_eq!(
+                    elem_bits(x, i), elem_bits(y, i),
+                    "buffer {}[{}]: interp {} vs vm {}", name, i, x.get(i), y.get(i)
                 );
             }
         }
@@ -240,10 +277,9 @@ proptest! {
             let x = &bufs_i[name];
             let y = &bufs_r[name];
             for i in 0..x.len() {
-                let (a, b) = (x.get(i), y.get(i));
-                prop_assert!(
-                    a == b || (a.is_nan() && b.is_nan()),
-                    "reparsed buffer {}[{}]: {} vs {}", name, i, a, b
+                prop_assert_eq!(
+                    elem_bits(x, i), elem_bits(y, i),
+                    "reparsed buffer {}[{}]: {} vs {}", name, i, x.get(i), y.get(i)
                 );
             }
         }

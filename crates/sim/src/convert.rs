@@ -396,7 +396,7 @@ pub fn convert_parallel(data: &FloatVec, p: Precision, threads: usize) -> FloatV
         }
         (FloatVec::F16(v), Precision::Double) => FloatVec::F64(run(v, 0.0, chunk, |x| x.to_f64())),
         (FloatVec::F32(v), Precision::Half) => {
-            FloatVec::F16(run(v, F16::ZERO, chunk, |&x| F16::from_f64(f64::from(x))))
+            FloatVec::F16(run(v, F16::ZERO, chunk, |&x| F16::from_f32(x)))
         }
         (FloatVec::F32(v), Precision::Double) => {
             FloatVec::F64(run(v, 0.0, chunk, |&x| f64::from(x)))

@@ -6,11 +6,13 @@
 # pipeline wall-clock (min over several runs — the robust statistic on a
 # noisy host), reports charged trials and the trial-engine cache
 # hit-rate, and writes the results to BENCH_search.json at the repo
-# root next to the recorded pre-trial-engine baseline. The
-# `bench_kernel` binary then times one provably-disjoint gemm kernel
-# sequentially and at each parallel thread budget (asserting bit-equal
-# outputs) and writes BENCH_kernel.json, recording `host_cores` so the
-# speedup column is honest for the machine it ran on.
+# root (the pre-trial-engine number rides along as
+# `before_us_other_host`: it is from another machine, so no speedup is
+# derived from it). The `bench_kernel` binary then times one
+# provably-disjoint gemm kernel with its buffers at f64, f32 and f16,
+# each sequentially and at each parallel thread budget (asserting
+# bit-equal outputs), and writes BENCH_kernel.json, recording
+# `host_cores` so the speedup column is honest for the machine it ran on.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 

@@ -9,6 +9,10 @@ cargo build --release --offline
 # Examples and benches must keep building too — a target that only the
 # default build compiles can rot silently.
 cargo build --release --offline --workspace --all-targets
+# The benchmark (BENCHMARK.json) is its own Cargo package with path
+# dependencies on the crates; build it so a crate API change cannot
+# silently break it.
+cargo build --release --offline --manifest-path perfbench/Cargo.toml
 cargo test -q --workspace --offline
 # Default lints plus a curated clippy::pedantic subset, enforced
 # workspace-wide: consistent trailing semicolons, method-path closures,
