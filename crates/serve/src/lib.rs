@@ -27,8 +27,10 @@
 //!   physical parallelism only: they execute requests speculatively from
 //!   per-request forked fault streams (the `TrialEngine` trick extended
 //!   to serving) and a sequential virtual-time sweep replays every
-//!   decision. The same `(seed, trace, policy)` yields bit-identical
-//!   per-request outcomes at 1, 2, or 8 workers.
+//!   decision. An admission plan limits speculation to the requests the
+//!   sweep will reach, at most one per arrival ([`SpeculationStats`]).
+//!   The same `(seed, trace, policy)` yields bit-identical per-request
+//!   outcomes at 1, 2, or 8 workers.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -40,5 +42,6 @@ mod trace;
 pub use error::ServeError;
 pub use server::{
     output_digest, spec_digest, RequestOutcome, ServeConfig, ServeRun, ServedRequest, Server,
+    SpeculationStats,
 };
 pub use trace::{ArrivalTrace, Request};

@@ -15,6 +15,18 @@
 //! depend only on `(seed, trace, config policy)` — never on the worker
 //! count — which is what the cross-worker-count bit-identity tests pin.
 //!
+//! # Admission planning
+//!
+//! Most arrivals of an overloaded trace are shed `QueueFull`, a decision
+//! that never reads a speculation, so the workers speculate only the
+//! requests the sweep will hand a speculation to. A fixed-point planner
+//! runs the sweep's own admission rule (`Admission`) over the trace —
+//! actual service times for speculated requests, the last known one for
+//! the rest — and speculates the planned requests it has not speculated
+//! yet, until a round adds none. Each request is speculated at most
+//! once; a request the plan missed or mispredicted is recomputed inline
+//! by the sweep, bit-identically, so the plan affects wall-clock only.
+//!
 //! # Shedding policy
 //!
 //! Overload sheds *work*, never *quality*: a rejected request gets a
@@ -24,12 +36,12 @@
 //! demoting precision to buy throughput.
 
 use crate::error::ServeError;
-use crate::trace::ArrivalTrace;
+use crate::trace::{ArrivalTrace, Request};
 use prescaler_core::report::{ServeReport, ServeSummary};
 use prescaler_core::SpecSnapshot;
 use prescaler_guard::{speculate, Guard, PreparedRun, SharedGuard};
 use prescaler_ocl::{HostApp, OclError, Outputs, ScalingSpec};
-use prescaler_sim::SimTime;
+use prescaler_sim::{SimTime, SystemModel};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, PoisonError};
@@ -108,14 +120,117 @@ pub struct RequestOutcome {
     pub result: Result<ServedRequest, ServeError>,
 }
 
+/// Host-side speculation work of one serving session. Deterministic:
+/// it depends on the same inputs as the outcomes, never on the worker
+/// count (a panicked worker's lost speculations aside).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct SpeculationStats {
+    /// Requests executed speculatively on the worker threads; at most
+    /// one speculation per arrival.
+    pub speculated: u64,
+    /// Requests whose deadline test and guarded run used their
+    /// speculation.
+    pub reused: u64,
+    /// Requests the sweep executed inline because their speculation was
+    /// missing or ran under a spec the guard has since moved off.
+    pub recomputed: u64,
+}
+
 /// Everything a serving session produced: the per-request outcome rows
-/// (arrival order) and the aggregate report.
+/// (arrival order), the aggregate report, and the speculation counters.
 #[derive(Clone, Debug, PartialEq)]
 pub struct ServeRun {
     /// Per-request outcomes in arrival order.
     pub outcomes: Vec<RequestOutcome>,
     /// Aggregate counters, guard summary, and the outcome digest.
     pub report: ServeReport,
+    /// How much speculative work the session did and how much of it the
+    /// sweep used. Every request that reaches the deadline test is
+    /// either `reused` or `recomputed`.
+    pub speculation: SpeculationStats,
+}
+
+/// The single service line's bounded waiting room in virtual time: the
+/// admission rule the sweep applies and the planner predicts with.
+struct Admission {
+    /// Start times of admitted requests still waiting for the device.
+    /// Its length never exceeds `capacity`: that is checked *before*
+    /// every admission.
+    waiting: VecDeque<SimTime>,
+    /// When the device finishes the last committed request.
+    device_free: SimTime,
+    capacity: usize,
+    deadline: SimTime,
+}
+
+impl Admission {
+    fn new(config: &ServeConfig) -> Admission {
+        Admission {
+            waiting: VecDeque::new(),
+            device_free: SimTime::ZERO,
+            capacity: config.queue_capacity,
+            deadline: config.deadline,
+        }
+    }
+
+    /// An arrival at `t`: retires the waiters whose service has started
+    /// by `t`, then rejects the arrival if the room is still full, or
+    /// returns the virtual time its service would start.
+    fn arrive(&mut self, t: SimTime) -> Result<SimTime, ServeError> {
+        while self.waiting.front().is_some_and(|&s| s <= t) {
+            self.waiting.pop_front();
+        }
+        if self.waiting.len() >= self.capacity {
+            return Err(ServeError::QueueFull);
+        }
+        Ok(t.max(self.device_free))
+    }
+
+    /// Deadline budget on the virtual timeline: queue wait plus the
+    /// production service time must fit. For a run that will fail
+    /// (`service` unknowable) the wait alone decides.
+    fn misses_deadline(
+        &self,
+        arrival: SimTime,
+        started: SimTime,
+        service: Option<SimTime>,
+    ) -> bool {
+        let budget_end = arrival + self.deadline;
+        match service {
+            Some(s) => started + s > budget_end,
+            None => started > budget_end,
+        }
+    }
+
+    /// Commits an admitted request to the device; returns the queue depth
+    /// it leaves.
+    fn commit(&mut self, arrival: SimTime, started: SimTime, completed: SimTime) -> usize {
+        self.device_free = completed;
+        if started > arrival {
+            self.waiting.push_back(started);
+        }
+        self.waiting.len()
+    }
+}
+
+/// A request's speculation as the planner tracks it.
+enum Slot {
+    /// Not speculated.
+    Pending,
+    /// Speculated, but its worker panicked before storing the result.
+    Lost,
+    /// Speculated under the session's starting spec.
+    Ready(Box<PreparedRun>),
+}
+
+impl Slot {
+    /// Hands the speculation to the sweep, if there is one.
+    fn take(&mut self) -> Option<PreparedRun> {
+        match std::mem::replace(self, Slot::Lost) {
+            Slot::Ready(p) => Some(*p),
+            _ => None,
+        }
+    }
 }
 
 const FNV_OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
@@ -184,46 +299,50 @@ impl Server {
     /// Serves an arrival trace to completion and returns every
     /// per-request outcome plus the aggregate report.
     ///
-    /// Phase 1 fans the trace out to `config.workers` threads that
-    /// execute each request speculatively against a snapshot of the
-    /// active configuration. Phase 2 sweeps the trace once in arrival
-    /// order, making every admission/deadline/shedding decision on the
-    /// virtual timeline and replaying the speculations through the
-    /// guard — reusing a speculation only when its assumptions held, so
-    /// a stale or missing (or panicked-away) speculation merely costs a
-    /// recompute, never a different outcome.
+    /// Phase 1 plans admission over the trace and fans the planned
+    /// requests out to `config.workers` threads that execute them
+    /// speculatively against a snapshot of the active configuration.
+    /// Phase 2 sweeps the trace once in arrival order, making every
+    /// admission/deadline/shedding decision on the virtual timeline and
+    /// replaying the speculations through the guard — reusing a
+    /// speculation only when its assumptions held, so a stale or missing
+    /// (or panicked-away) speculation merely costs a recompute, never a
+    /// different outcome.
     pub fn serve<A: HostApp>(
         &self,
         trace: &ArrivalTrace,
         app_at: impl Fn(f64) -> A + Sync,
     ) -> ServeRun {
         let n = trace.len();
-        let slots = self.speculate_all(trace, &app_at);
+        let mut slots = self.speculate_planned(trace, &app_at);
+        let mut speculation = SpeculationStats {
+            speculated: slots.iter().filter(|s| !matches!(s, Slot::Pending)).count() as u64,
+            ..SpeculationStats::default()
+        };
         let mut summary = ServeSummary {
             arrivals: n as u64,
             ..ServeSummary::default()
         };
         let mut outcomes = Vec::with_capacity(n);
         let mut digest = FNV_OFFSET;
-        let mut device_free = SimTime::ZERO;
-        // Start times of admitted requests that are still waiting for the
-        // device — the bounded admission queue. Its length never exceeds
-        // `queue_capacity`: that is checked *before* every admission.
-        let mut waiting: VecDeque<SimTime> = VecDeque::new();
+        let mut admission = Admission::new(&self.config);
         let mut shutting_down = false;
 
-        for (i, req) in trace.requests.iter().enumerate() {
+        for (req, slot) in trace.requests.iter().zip(&mut slots) {
             let t = req.arrival;
-            while waiting.front().is_some_and(|&s| s <= t) {
-                waiting.pop_front();
-            }
-
             let result = if shutting_down {
                 Err(ServeError::ShuttingDown)
-            } else if waiting.len() >= self.config.queue_capacity {
-                Err(ServeError::QueueFull)
             } else {
-                self.admit(req.id, t, device_free, &slots[i], &app_at)
+                admission.arrive(t).and_then(|started| {
+                    self.admit(
+                        req,
+                        started,
+                        &admission,
+                        slot.take(),
+                        &app_at,
+                        &mut speculation,
+                    )
+                })
             };
 
             match &result {
@@ -234,11 +353,8 @@ impl Server {
                     if served.degraded {
                         summary.degraded_served += 1;
                     }
-                    device_free = served.completed;
-                    if served.started > t {
-                        waiting.push_back(served.started);
-                    }
-                    summary.peak_queue_depth = summary.peak_queue_depth.max(waiting.len() as u64);
+                    let depth = admission.commit(t, served.started, served.completed);
+                    summary.peak_queue_depth = summary.peak_queue_depth.max(depth as u64);
                 }
                 Err(ServeError::QueueFull) => summary.shed_queue_full += 1,
                 Err(ServeError::DeadlineExceeded) => summary.shed_deadline += 1,
@@ -289,84 +405,151 @@ impl Server {
             workers: self.config.workers.max(1) as u64,
             seed: trace.seed,
         };
-        ServeRun { outcomes, report }
+        ServeRun {
+            outcomes,
+            report,
+            speculation,
+        }
     }
 
-    /// Phase 1: speculative parallel execution of the whole trace
-    /// against a snapshot of the active configuration.
-    fn speculate_all<A: HostApp>(
+    /// Phase 1: plan → speculate the planned set, to a fixed point.
+    ///
+    /// Each round replays the admission rule over the trace under the
+    /// snapshot spec and collects the requests that reach the deadline
+    /// test without a speculation; those are speculated in parallel and
+    /// the next round plans with their actual service times. A request
+    /// enters at most one batch, so there are at most `trace.len()`
+    /// speculations, and the loop ends once a round collects nothing.
+    fn speculate_planned<A: HostApp>(
         &self,
         trace: &ArrivalTrace,
         app_at: &(impl Fn(f64) -> A + Sync),
-    ) -> Vec<Mutex<Option<PreparedRun>>> {
-        let n = trace.len();
+    ) -> Vec<Slot> {
         let snapshot = self.guard.active_spec();
         let system = self.guard.with(|g| g.system().clone());
-        let slots: Vec<Mutex<Option<PreparedRun>>> = (0..n).map(|_| Mutex::new(None)).collect();
+        let mut slots: Vec<Slot> = trace.requests.iter().map(|_| Slot::Pending).collect();
+        loop {
+            let batch = self.plan(trace, &slots);
+            if batch.is_empty() {
+                return slots;
+            }
+            let preps = self.speculate_batch(&system, &snapshot, trace, &batch, app_at);
+            for (i, prep) in batch.into_iter().zip(preps) {
+                slots[i] = prep.map_or(Slot::Lost, |p| Slot::Ready(Box::new(p)));
+            }
+        }
+    }
+
+    /// One planning round: the indices of the requests that reach the
+    /// deadline test with no speculation yet. A speculated request plans
+    /// with its actual service time, an unspeculated one with the last
+    /// service time the round has seen. The round stops at a failed or
+    /// lost speculation, or at an unspeculated request with nothing to
+    /// estimate from: from there on the sweep's own course decides.
+    fn plan(&self, trace: &ArrivalTrace, slots: &[Slot]) -> Vec<usize> {
+        let mut admission = Admission::new(&self.config);
+        let mut last_service = None;
+        let mut batch = Vec::new();
+        for (i, (req, slot)) in trace.requests.iter().zip(slots).enumerate() {
+            let t = req.arrival;
+            let Ok(started) = admission.arrive(t) else {
+                continue;
+            };
+            let service = match slot {
+                Slot::Ready(prep) => match &prep.result {
+                    Ok((_, log)) => log.timeline.total(),
+                    Err(_) => break,
+                },
+                Slot::Lost => break,
+                Slot::Pending => {
+                    batch.push(i);
+                    match last_service {
+                        Some(s) => s,
+                        None => break,
+                    }
+                }
+            };
+            last_service = Some(service);
+            if !admission.misses_deadline(t, started, Some(service)) {
+                admission.commit(t, started, started + service);
+            }
+        }
+        batch
+    }
+
+    /// Speculates `batch` on up to `config.workers` threads; a `None`
+    /// marks a speculation whose worker panicked.
+    fn speculate_batch<A: HostApp>(
+        &self,
+        system: &SystemModel,
+        spec: &ScalingSpec,
+        trace: &ArrivalTrace,
+        batch: &[usize],
+        app_at: &(impl Fn(f64) -> A + Sync),
+    ) -> Vec<Option<PreparedRun>> {
+        let out: Vec<Mutex<Option<PreparedRun>>> = batch.iter().map(|_| Mutex::new(None)).collect();
         let next = AtomicUsize::new(0);
-        let workers = self.config.workers.max(1);
+        let workers = self.config.workers.clamp(1, batch.len().max(1));
         std::thread::scope(|scope| {
             let handles: Vec<_> = (0..workers)
                 .map(|_| {
                     scope.spawn(|| loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        let Some(req) = trace.requests.get(i) else {
+                        let k = next.fetch_add(1, Ordering::Relaxed);
+                        let Some(&i) = batch.get(k) else {
                             break;
                         };
-                        let prep = speculate(&system, &snapshot, req.id, app_at);
-                        *slots[i].lock().unwrap_or_else(PoisonError::into_inner) = Some(prep);
+                        let prep = speculate(system, spec, trace.requests[i].id, app_at);
+                        *out[k].lock().unwrap_or_else(PoisonError::into_inner) = Some(prep);
                     })
                 })
                 .collect();
             for h in handles {
-                // A panicked worker forfeits its remaining slots; the
-                // replay recomputes them inline and the pool keeps going.
+                // A panicked worker forfeits its remaining speculations;
+                // the sweep recomputes them inline and the pool keeps going.
                 let _ = h.join();
             }
         });
-        slots
+        out.into_iter()
+            .map(|m| m.into_inner().unwrap_or_else(PoisonError::into_inner))
+            .collect()
     }
 
-    /// Deadline admission plus guarded execution of one request.
+    /// Deadline admission plus guarded execution of one request that
+    /// found room in the queue and would start at `started`.
     fn admit<A: HostApp>(
         &self,
-        id: u64,
-        arrival: SimTime,
-        device_free: SimTime,
-        slot: &Mutex<Option<PreparedRun>>,
+        req: &Request,
+        started: SimTime,
+        admission: &Admission,
+        prepared: Option<PreparedRun>,
         app_at: &impl Fn(f64) -> A,
+        speculation: &mut SpeculationStats,
     ) -> Result<ServedRequest, ServeError> {
+        let (id, arrival) = (req.id, req.arrival);
         // Validate the speculation against the *current* active spec; a
         // breaker may have moved it since the snapshot was taken.
-        let prep = {
-            let taken = slot.lock().unwrap_or_else(PoisonError::into_inner).take();
-            let active = self.guard.active_spec();
-            match taken {
-                Some(p) if p.spec == active => p,
-                _ => self
-                    .guard
-                    .with(|g| speculate(g.system(), g.active_spec(), id, app_at)),
+        let prep = match prepared {
+            Some(p) if p.spec == self.guard.active_spec() => {
+                speculation.reused += 1;
+                p
+            }
+            _ => {
+                speculation.recomputed += 1;
+                self.guard
+                    .with(|g| speculate(g.system(), g.active_spec(), id, app_at))
             }
         };
 
-        let started = arrival.max(device_free);
-        // Deadline budget on the virtual timeline: queue wait plus the
-        // predicted production service time must fit. The canary a run
-        // may trigger executes on the clean twin — a different logical
-        // device — so it never occupies the queue's device or counts
-        // against any request's budget. For a run that will fail
-        // (service time unknowable) the wait alone decides.
-        let budget_end = arrival + self.config.deadline;
+        // The predicted production service time decides the deadline.
+        // The canary a run may trigger executes on the clean twin — a
+        // different logical device — so it never occupies the queue's
+        // device or counts against any request's budget.
         let predicted = prep
             .result
             .as_ref()
             .ok()
             .map(|(_, log)| log.timeline.total());
-        let misses = match predicted {
-            Some(s) => started + s > budget_end,
-            None => started > budget_end,
-        };
-        if misses {
+        if admission.misses_deadline(arrival, started, predicted) {
             return Err(ServeError::DeadlineExceeded);
         }
 
@@ -426,6 +609,23 @@ mod tests {
         prep.result.unwrap().1.timeline.total().as_secs()
     }
 
+    /// The speculation counters' invariants: at most one speculation per
+    /// arrival, and exactly one used-or-recomputed speculation per
+    /// request that reached the deadline test.
+    fn assert_speculation_accounted(run: &ServeRun) {
+        let (spec, sum) = (&run.speculation, &run.report.summary);
+        assert!(
+            spec.speculated <= sum.arrivals,
+            "{spec:?} over {} arrivals",
+            sum.arrivals
+        );
+        assert_eq!(
+            spec.reused + spec.recomputed,
+            sum.served + sum.shed_deadline + sum.failed_device_lost,
+            "{spec:?} vs {sum:?}"
+        );
+    }
+
     #[test]
     fn outcomes_are_invariant_to_worker_count() {
         let plan = FaultPlan::seeded(41).with_input_drift(0.3, 2.0);
@@ -441,12 +641,16 @@ mod tests {
                 overload_shed_tolerance: 0,
             };
             let server = Server::new(guard_on(&system), config);
-            runs.push(server.serve(&trace, |g| gemm_app().with_input_gain(g)));
+            let run = server.serve(&trace, |g| gemm_app().with_input_gain(g));
+            assert_speculation_accounted(&run);
+            assert_speculation_accounted(&run);
+            runs.push(run);
         }
         assert_eq!(runs[0].outcomes, runs[1].outcomes, "1 vs 2 workers");
         assert_eq!(runs[0].outcomes, runs[2].outcomes, "1 vs 8 workers");
         assert_eq!(runs[0].report.outcome_digest, runs[2].report.outcome_digest);
         assert_eq!(runs[0].report.summary, runs[2].report.summary);
+        assert_eq!(runs[0].speculation, runs[2].speculation);
     }
 
     #[test]
@@ -463,6 +667,7 @@ mod tests {
         };
         let server = Server::new(guard_on(&system), config);
         let run = server.serve(&trace, |g| gemm_app().with_input_gain(g));
+        assert_speculation_accounted(&run);
         let sum = &run.report.summary;
         assert_eq!(sum.arrivals, 30);
         assert_eq!(sum.accounted(), sum.arrivals, "no silent drops");
@@ -490,6 +695,7 @@ mod tests {
         };
         let server = Server::new(guard_on(&system), config);
         let run = server.serve(&trace, |g| gemm_app().with_input_gain(g));
+        assert_speculation_accounted(&run);
         let sum = &run.report.summary;
         assert_eq!(sum.served, 0);
         assert_eq!(sum.shed_deadline, 10, "all shed before launch: {sum:?}");
@@ -511,6 +717,7 @@ mod tests {
             },
         );
         let run = server.serve(&trace, |g| gemm_app().with_input_gain(g));
+        assert_speculation_accounted(&run);
         assert_eq!(
             run.outcomes[0].result,
             Err(ServeError::DeviceLost),
@@ -540,6 +747,7 @@ mod tests {
         };
         let server = Server::new(guard_on(&system), config);
         let run = server.serve(&trace, |g| gemm_app().with_input_gain(g));
+        assert_speculation_accounted(&run);
         let sum = &run.report.summary;
         assert!(
             sum.shed() >= 3,
@@ -559,5 +767,42 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// A constant service time makes the planner's estimate exact: the
+    /// second planning round finds every admitted request, nothing the
+    /// sweep sheds `QueueFull` is ever executed, and nothing is
+    /// recomputed inline — the shape of the `serve_drift` benchmark.
+    #[test]
+    fn constant_service_speculates_exactly_the_served_requests() {
+        let plan = FaultPlan::seeded(1)
+            .with_input_drift(0.3, 2.0)
+            .with_overload_burst(0.25, 3);
+        let system = SystemModel::system1().with_faults(plan);
+        let s = service_secs(&SystemModel::system1());
+        let trace = ArrivalTrace::generate(1, 40, SimTime::from_secs(s * 0.6), &system.faults);
+        let mut stats = Vec::new();
+        for workers in [1usize, 2] {
+            let config = ServeConfig {
+                queue_capacity: 2,
+                deadline: SimTime::from_secs(s * 4.0),
+                workers,
+                overload_shed_tolerance: 4,
+            };
+            let server = Server::new(guard_on(&system), config);
+            let run = server.serve(&trace, |g| gemm_app().with_input_gain(g));
+            assert_speculation_accounted(&run);
+            let sum = &run.report.summary;
+            assert!(sum.shed_queue_full > 0, "the trace must overload: {sum:?}");
+            assert_eq!(sum.shed_deadline + sum.failed_device_lost, 0, "{sum:?}");
+            assert_eq!(
+                run.speculation.speculated, sum.served,
+                "{:?}",
+                run.speculation
+            );
+            assert_eq!(run.speculation.recomputed, 0, "{:?}", run.speculation);
+            stats.push(run.speculation);
+        }
+        assert_eq!(stats[0], stats[1], "counters are worker-count invariant");
     }
 }

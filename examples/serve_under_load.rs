@@ -13,7 +13,10 @@
 //!   of demoting precision;
 //! * per-request outcomes are **bit-identical at any worker count** —
 //!   the example serves the same trace at 1, 2, and 8 workers and diffs
-//!   the outcome streams.
+//!   the outcome streams;
+//! * the workers speculate only requests the admission sweep reaches —
+//!   never more than arrived — and the printed speculation counters
+//!   (speculated / reused / recomputed) are worker-count invariant too.
 //!
 //! ```text
 //! cargo run --release --example serve_under_load
@@ -68,8 +71,23 @@ fn serve_at(
         s.makespan_secs,
     );
 
+    let spec = &run.speculation;
+    println!(
+        "workers={workers}: speculated {} of {} arrivals, reused {}, recomputed {}",
+        spec.speculated, s.arrivals, spec.reused, spec.recomputed,
+    );
+
     // The overload contract, self-asserted.
     assert_eq!(s.accounted(), s.arrivals, "every arrival has a typed fate");
+    assert!(
+        spec.speculated <= s.arrivals,
+        "at most one speculation per arrival"
+    );
+    assert_eq!(
+        spec.reused + spec.recomputed,
+        s.served + s.shed_deadline + s.failed_device_lost,
+        "every request reaching the deadline test uses or recomputes one speculation"
+    );
     assert!(
         s.peak_queue_depth <= config.queue_capacity as u64,
         "bounded queue"
@@ -156,6 +174,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "1 vs 8 workers must be bit-identical"
     );
     assert_eq!(one.report.outcome_digest, eight.report.outcome_digest);
+    assert_eq!(
+        one.speculation, eight.speculation,
+        "speculation counters are deterministic"
+    );
     println!(
         "\nper-request outcomes bit-identical at 1/2/8 workers (digest {:016x})",
         one.report.outcome_digest

@@ -13,6 +13,10 @@
 # each sequentially and at each parallel thread budget (asserting
 # bit-equal outputs), and writes BENCH_kernel.json, recording
 # `host_cores` so the speedup column is honest for the machine it ran on.
+# The `bench_serve` binary times `Server::serve` on the serve_under_load
+# example's overloaded trace at 1, 2 and 8 workers (min-of-N wall ms,
+# requests/s, speculation counters; asserting equal outcome digests) and
+# writes BENCH_serve.json, also with `host_cores`.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -27,6 +31,7 @@ if [ "$iters" -lt 3 ]; then
 fi
 cargo run --release --offline -p prescaler-bench --bin bench_search "$iters"
 cargo run --release --offline -p prescaler-bench --bin bench_kernel "$iters"
+cargo run --release --offline -p prescaler-bench --bin bench_serve "$iters"
 
 echo
 echo "=== BENCH_search.json ==="
@@ -34,3 +39,6 @@ cat BENCH_search.json
 echo
 echo "=== BENCH_kernel.json ==="
 cat BENCH_kernel.json
+echo
+echo "=== BENCH_serve.json ==="
+cat BENCH_serve.json

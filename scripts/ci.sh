@@ -90,23 +90,27 @@ cargo run --release --offline --example guarded_serving
 # envelopes without tripping a clean production run.
 cargo run --release --offline --example static_prune
 
-# Multi-worker serving stress: run the overloaded serving example as
-# three separate processes at 1, 2, and 8 workers and diff the printed
-# per-request outcome digests — worker count is physical parallelism
-# only and must never change an outcome. (The example also self-asserts
-# bounded-queue, typed-shedding, and TOQ-or-fallback guarantees.)
-serve_digests=""
-for workers in 1 2 8; do
-    digest=$(PRESCALER_SERVE_WORKERS=$workers \
-        cargo run --release --offline --example serve_under_load \
-        | grep '^outcome digest:' | awk '{print $3}')
-    echo "serve_under_load @ ${workers} workers -> digest ${digest}"
-    serve_digests="${serve_digests} ${digest}"
+# Multi-worker serving stress: under each fault seed, run the overloaded
+# serving example as three separate processes at 1, 2, and 8 workers and
+# diff the printed per-request outcome digests — worker count is
+# physical parallelism only and must never change an outcome. (The
+# example also self-asserts bounded-queue, typed-shedding and
+# TOQ-or-fallback guarantees, and prints its speculation counters,
+# asserting at most one speculation per arrival.)
+for seed in 1 2 3; do
+    serve_digests=""
+    for workers in 1 2 8; do
+        digest=$(PRESCALER_FAULT_SEED=$seed PRESCALER_SERVE_WORKERS=$workers \
+            cargo run --release --offline --example serve_under_load \
+            | grep '^outcome digest:' | awk '{print $3}')
+        echo "serve_under_load seed ${seed} @ ${workers} workers -> digest ${digest}"
+        serve_digests="${serve_digests} ${digest}"
+    done
+    if [ "$(echo "${serve_digests}" | tr ' ' '\n' | sed '/^$/d' | sort -u | wc -l)" -ne 1 ]; then
+        echo "serving outcomes diverged across worker counts (seed ${seed}):${serve_digests}" >&2
+        exit 1
+    fi
 done
-if [ "$(echo "${serve_digests}" | tr ' ' '\n' | sed '/^$/d' | sort -u | wc -l)" -ne 1 ]; then
-    echo "serving outcomes diverged across worker counts:${serve_digests}" >&2
-    exit 1
-fi
 
 # Benchmarks must keep compiling, and the search benchmark binary doubles
 # as a perf smoke test (trial/cache accounting asserted deterministic).
