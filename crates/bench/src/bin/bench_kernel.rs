@@ -8,7 +8,9 @@
 //! wait on. Each precision is timed at 1 thread and at each parallel
 //! budget, asserting bit-identical outputs and counts, and the results go
 //! to `BENCH_kernel.json` at the repo root. `ns_per_iter` divides the
-//! sequential time by the n³ inner-loop iterations. The speedup column is
+//! sequential time by the n³ inner-loop iterations; `fused_loops` counts
+//! the reduction loops the VM runs as one instruction each (GEMM's inner
+//! loop is one). The speedup column is
 //! honest for the machine the benchmark ran on: `host_cores` records how
 //! much hardware parallelism was actually available, so a 1-core host
 //! reporting ~1.0x is expected, not a regression.
@@ -104,6 +106,8 @@ fn main() {
             matches!(compiled.parallel_safety(), ParallelSafety::Disjoint(_)),
             "gemm stores must be provably disjoint"
         );
+        let fused_loops = compiled.fused_loops();
+        assert_eq!(fused_loops, 1, "gemm's inner loop must fuse");
         let mut scratch = VmScratch::new();
 
         // Warm-up.
@@ -128,7 +132,7 @@ fn main() {
             ));
         }
         rows.push(format!(
-            "    {{\n      \"precision\": \"{tag}\",\n      \"sequential_us\": {seq_us:.3},\n      \"ns_per_iter\": {ns_per_iter:.3},\n      \"parallel\": [\n{}\n      ]\n    }}",
+            "    {{\n      \"precision\": \"{tag}\",\n      \"fused_loops\": {fused_loops},\n      \"sequential_us\": {seq_us:.3},\n      \"ns_per_iter\": {ns_per_iter:.3},\n      \"parallel\": [\n{}\n      ]\n    }}",
             parallel.join(",\n")
         ));
     }

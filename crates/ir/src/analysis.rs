@@ -398,7 +398,17 @@ impl<'k> Absint<'k> {
                 if trips == 0 {
                     return Ok(());
                 }
-                let uniform = !control_deps(body).contains(var.as_str());
+                // One pass scaled by the trip count is exact when no
+                // control decision depends on the loop variable and the
+                // body reassigns no outer integer: such a variable would
+                // change from trip to trip, and its value after the loop
+                // would be one trip's worth off.
+                let mut assigned = HashSet::new();
+                assigned_vars(body, &mut assigned);
+                let uniform = !control_deps(body).contains(var.as_str())
+                    && !assigned
+                        .iter()
+                        .any(|n| matches!(self.lookup(n), Ok(AbsVal::Int(_))));
                 self.scopes.push(HashMap::new());
                 let result = (|| {
                     if uniform {

@@ -11,7 +11,7 @@
 //! **bit-identical buffer contents and identical [`OpCounts`]** to
 //! [`crate::interp::run_kernel`].
 //!
-//! Three implementation points matter for the equivalence:
+//! Four implementation points matter for the equivalence:
 //!
 //! * **The register invariant.** Float registers hold `f64` values that
 //!   are always exactly representable at their static precision: loads
@@ -39,6 +39,22 @@
 //!   pre-computes each region's [`OpCounts`] delta and the VM adds it once
 //!   per execution, which is exact because within a region every counted
 //!   operation executes unconditionally.
+//! * **Whole-loop fusion.** A counted loop whose body is one in-place
+//!   dot-product step runs as a single [`Op::DotLoop`]. Inside that loop
+//!   only the accumulator (a float register) and the loop variable
+//!   change, so every other integer register is constant and each
+//!   operand index is affine in the loop variable. The VM computes the
+//!   first and last index of each operand exactly in `i128`; when both
+//!   lie inside the buffer (inside the chunk's carved segment on the
+//!   parallel path), every index between them does too and the wrapping
+//!   index arithmetic never wraps, so the loop runs over typed slices
+//!   with no per-iteration checks. The body is the same multiply and
+//!   accumulate, rounded at the same precisions in the same order, and
+//!   the trip count is added to the body's count site once, which equals
+//!   one hit per trip. Anything else (an index that leaves the buffer, a
+//!   nonlinear `k*k` index, a stride past `isize`) steps the loop one
+//!   trip at a time through the same step code, reproducing the exact
+//!   error of the unfused loop.
 
 pub use crate::analysis::ParallelSafety;
 use crate::analysis::{self, ChunkPlan};
@@ -211,7 +227,20 @@ enum Op {
         imm: i32,
         target: u32,
     },
+    /// A whole counted loop whose body is one in-place `DotStep`
+    /// (`JumpICmpFalse` head + `DotStep` + `CountAddJump` back-edge):
+    /// `while i[k] < i[end] { dot_table[step]; hits[count] += 1; i[k] += 1 }`.
+    DotLoop {
+        step: u32,
+        k: IReg,
+        end: IReg,
+        count: u32,
+    },
 }
+
+// `Op` is copied on every dispatch; fused operands live in side tables so
+// it stays three words.
+const _: () = assert!(std::mem::size_of::<Op>() <= 24);
 
 /// Operands of a fused [`Op::DotStep`]:
 /// `f[dst] = f[acc] + buf1[i[a1]*i[b1]+i[c1]] * buf2[i[a2]*i[b2]+i[c2]]`
@@ -626,21 +655,29 @@ impl<'k> Compiler<'k> {
                 end,
                 body,
             } => {
+                // Copy each bound into a dedicated register right after it
+                // is computed (so the copy sinks into a temporary's
+                // producer). The end bound is read once, like the
+                // interpreter's `s..e`: a body that reassigns its source
+                // variable cannot change the trip count.
                 let (sv, st) = self.expr(start, None)?;
+                let var_reg = self.alloc_i();
+                if st == CTy::Int {
+                    self.ops.push(Op::IMov {
+                        dst: var_reg,
+                        src: sv.ireg(),
+                    });
+                }
                 let (ev, et) = self.expr(end, None)?;
                 if st != CTy::Int || et != CTy::Int {
                     return Err(ExecError::KindError(format!(
                         "loop bound for `{var}` must be an integer"
                     )));
                 }
-                let s = sv.ireg();
-                let e = ev.ireg();
-                // Copy the end bound: it must stay stable even if its
-                // source register is reused (it is not, but be explicit).
-                let var_reg = self.alloc_i();
+                let e = self.alloc_i();
                 self.ops.push(Op::IMov {
-                    dst: var_reg,
-                    src: s,
+                    dst: e,
+                    src: ev.ireg(),
                 });
                 self.flush();
                 let head = self.here();
@@ -1122,12 +1159,16 @@ fn for_each_read(
         | Op::IAddImmJump { a, .. }
         | Op::CountAddJump { a, .. }
         | Op::IUn { a, .. } => fi(a),
-        Op::DotStep { idx } => {
-            let d = dot[idx as usize];
+        Op::DotStep { idx: step } | Op::DotLoop { step, .. } => {
+            let d = dot[step as usize];
             for r in [d.a1, d.b1, d.c1, d.a2, d.b2, d.c2] {
                 fi(r);
             }
             ff(d.acc);
+            if let Op::DotLoop { k, end, .. } = op {
+                fi(k);
+                fi(end);
+            }
         }
         Op::FCmp { a, b, .. } | Op::FBin { a, b, .. } | Op::JumpFCmpFalse { a, b, .. } => {
             ff(a);
@@ -1372,6 +1413,41 @@ fn peephole_pass(ops: Vec<Op>, dot_table: &mut Vec<DotStepArgs>) -> Vec<Op> {
                 });
                 Some((Op::DotStep { idx }, 3))
             }
+            // A whole counted loop over one in-place dot-product step:
+            // head compare exiting just past the back-edge, the step, and
+            // a unit back-edge to the head.
+            (
+                Op::JumpICmpFalse {
+                    op: CmpOp::Lt,
+                    a: k,
+                    b: end,
+                    target: exit,
+                },
+                Some(&Op::DotStep { idx: step }),
+                Some(&Op::CountAddJump {
+                    idx: count,
+                    dst,
+                    a,
+                    imm: 1,
+                    target: back,
+                }),
+            ) if exit as usize == i + 3
+                && back as usize == i
+                && dst == k
+                && a == k
+                && dot_table[step as usize].dst == dot_table[step as usize].acc
+                && interior_free(i + 1, i + 2) =>
+            {
+                Some((
+                    Op::DotLoop {
+                        step,
+                        k,
+                        end,
+                        count,
+                    },
+                    3,
+                ))
+            }
             // Copy sink: a producer whose only consumer is a register move
             // writes the move's destination directly.
             (producer, Some(&Op::IMov { dst, src }), _)
@@ -1523,6 +1599,175 @@ fn apply_ibin(op: FloatBinOp, a: i64, b: i64) -> i64 {
     }
 }
 
+/// The row-major index `i[a]*i[b] + i[c]` in wrapping `i64` arithmetic.
+#[inline(always)]
+fn row_major(iregs: &[i64], a: IReg, b: IReg, c: IReg) -> i64 {
+    iregs[a as usize]
+        .wrapping_mul(iregs[b as usize])
+        .wrapping_add(iregs[c as usize])
+}
+
+/// `acc + x*y` with the product rounded at `pm` and the sum at `pa` (two
+/// roundings, not an FMA).
+#[inline(always)]
+fn mul_acc(pm: Precision, pa: Precision, acc: f64, x: f64, y: f64) -> f64 {
+    apply_fbin(
+        pa,
+        FloatBinOp::Add,
+        acc,
+        apply_fbin(pm, FloatBinOp::Mul, x, y),
+    )
+}
+
+/// One dot-product step, `f[dst] = f[acc] + buf1[i1] * buf2[i2]`: the
+/// whole of [`Op::DotStep`] and one trip of a stepped [`Op::DotLoop`].
+#[inline(always)]
+fn dot_step<M: BufMem>(
+    d: &DotStepArgs,
+    iregs: &[i64],
+    fregs: &mut [f64],
+    mem: &M,
+) -> Result<(), ExecError> {
+    let v1 = mem.load(d.buf1, row_major(iregs, d.a1, d.b1, d.c1))?;
+    let v2 = mem.load(d.buf2, row_major(iregs, d.a2, d.b2, d.c2))?;
+    fregs[d.dst as usize] = mul_acc(d.pm, d.pa, fregs[d.acc as usize], v1, v2);
+    Ok(())
+}
+
+/// Runs a fused [`Op::DotLoop`] from `i[k]` up to `i[end]`, tallying one
+/// hit per trip in `hits`. When every operand index stays inside its
+/// buffer view for the whole loop, the trips run over typed slices;
+/// otherwise the loop steps one [`dot_step`] at a time, which stops at
+/// the same failing trip with the same error as the unfused loop.
+#[inline]
+fn dot_loop<M: BufMem>(
+    d: &DotStepArgs,
+    k: IReg,
+    end: IReg,
+    hits: &mut u64,
+    iregs: &mut [i64],
+    fregs: &mut [f64],
+    mem: &M,
+) -> Result<(), ExecError> {
+    let (k0, e) = (iregs[k as usize], iregs[end as usize]);
+    if k0 >= e {
+        return Ok(());
+    }
+    let trips = e.wrapping_sub(k0) as u64;
+    let x = strided(mem, iregs, k, trips, d.buf1, [d.a1, d.b1, d.c1]);
+    let y = strided(mem, iregs, k, trips, d.buf2, [d.a2, d.b2, d.c2]);
+    if let (Some(x), Some(y)) = (x, y) {
+        let acc = fregs[d.acc as usize];
+        fregs[d.dst as usize] = match x.data {
+            View::H(xs) => dot_run_y(d, acc, x.with(xs), y, trips),
+            View::S(xs) => dot_run_y(d, acc, x.with(xs), y, trips),
+            View::D(xs) => dot_run_y(d, acc, x.with(xs), y, trips),
+        };
+        iregs[k as usize] = e;
+        *hits += trips;
+        return Ok(());
+    }
+    while iregs[k as usize] < e {
+        dot_step(d, iregs, fregs, mem)?;
+        *hits += 1;
+        iregs[k as usize] += 1;
+    }
+    Ok(())
+}
+
+/// The elements `at, at + stride, …` of a typed buffer window.
+#[derive(Clone, Copy)]
+struct Strided<T> {
+    data: T,
+    at: usize,
+    stride: isize,
+}
+
+impl<T> Strided<T> {
+    /// The same walk over `data` (the window, resolved to its type).
+    fn with<U>(self, data: U) -> Strided<U> {
+        Strided {
+            data,
+            at: self.at,
+            stride: self.stride,
+        }
+    }
+}
+
+/// Operand `buf[i[a]*i[b] + i[c]]` of a dot loop over `trips` values of
+/// the loop variable `i[k]`, as a walk over the buffer's view — or `None`
+/// when the index is not affine in `k` (`k` is both factors), its stride
+/// does not fit `isize`, or its first or last index leaves the view.
+/// Every other register is constant across the loop, so the index is
+/// `first + t·stride`, computed here exactly in `i128`; with both ends
+/// inside the view every index between is too, and the VM's wrapping
+/// `i64` index arithmetic equals the exact value at every trip.
+#[inline]
+fn strided<'m, M: BufMem>(
+    mem: &'m M,
+    iregs: &[i64],
+    k: IReg,
+    trips: u64,
+    buf: u16,
+    [a, b, c]: [IReg; 3],
+) -> Option<Strided<View<'m>>> {
+    let v = |r: IReg| i128::from(iregs[r as usize]);
+    let factor = match (a == k, b == k) {
+        (true, true) => return None,
+        (true, false) => v(b),
+        (false, true) => v(a),
+        (false, false) => 0,
+    };
+    let stride = factor + i128::from(c == k);
+    let first = v(a) * v(b) + v(c);
+    let last = first.checked_add(stride.checked_mul(i128::from(trips - 1))?)?;
+    let (lo, data) = mem.view(buf);
+    let inside = |i: i128| i >= i128::from(lo) && i - i128::from(lo) < data.len() as i128;
+    if !(inside(first) && inside(last)) {
+        return None;
+    }
+    Some(Strided {
+        data,
+        at: (first - i128::from(lo)) as usize,
+        stride: isize::try_from(stride).ok()?,
+    })
+}
+
+/// Second-operand dispatch of a dot loop's typed fast path.
+#[inline(always)]
+fn dot_run_y<X: Widen>(
+    d: &DotStepArgs,
+    acc: f64,
+    x: Strided<&[X]>,
+    y: Strided<View<'_>>,
+    trips: u64,
+) -> f64 {
+    match y.data {
+        View::H(ys) => dot_run(d, acc, x, y.with(ys), trips),
+        View::S(ys) => dot_run(d, acc, x, y.with(ys), trips),
+        View::D(ys) => dot_run(d, acc, x, y.with(ys), trips),
+    }
+}
+
+/// The typed inner loop of a dot loop whose indices are all in bounds:
+/// the same widening loads and [`mul_acc`] as [`dot_step`], in trip order.
+fn dot_run<X: Widen, Y: Widen>(
+    d: &DotStepArgs,
+    mut acc: f64,
+    x: Strided<&[X]>,
+    y: Strided<&[Y]>,
+    trips: u64,
+) -> f64 {
+    let (pm, pa) = (d.pm, d.pa);
+    let (mut i, mut j) = (x.at, y.at);
+    for _ in 0..trips {
+        acc = mul_acc(pm, pa, acc, x.data[i].widen(), y.data[j].widen());
+        i = i.wrapping_add_signed(x.stride);
+        j = j.wrapping_add_signed(y.stride);
+    }
+    acc
+}
+
 impl CompiledKernel {
     /// The kernel name.
     #[must_use]
@@ -1534,6 +1779,16 @@ impl CompiledKernel {
     #[must_use]
     pub fn code_len(&self) -> usize {
         self.ops.len()
+    }
+
+    /// Number of whole reduction loops fused into one instruction each
+    /// (for diagnostics and coverage tests).
+    #[must_use]
+    pub fn fused_loops(&self) -> usize {
+        self.ops
+            .iter()
+            .filter(|op| matches!(op, Op::DotLoop { .. }))
+            .count()
     }
 
     /// The compile-time disjoint-write verdict used to gate
@@ -2140,10 +2395,7 @@ impl CompiledKernel {
                             continue;
                         }
                         Op::LoadMulAdd { buf, a, b, c, dst } => {
-                            let i = iregs[a as usize]
-                                .wrapping_mul(iregs[b as usize])
-                                .wrapping_add(iregs[c as usize]);
-                            fregs[dst as usize] = mem.load(buf, i)?;
+                            fregs[dst as usize] = mem.load(buf, row_major(iregs, a, b, c))?;
                         }
                         Op::FMulAcc {
                             pm,
@@ -2153,28 +2405,25 @@ impl CompiledKernel {
                             a,
                             b,
                         } => {
-                            let m = apply_fbin(
+                            fregs[dst as usize] = mul_acc(
                                 pm,
-                                FloatBinOp::Mul,
+                                pa,
+                                fregs[acc as usize],
                                 fregs[a as usize],
                                 fregs[b as usize],
                             );
-                            fregs[dst as usize] =
-                                apply_fbin(pa, FloatBinOp::Add, fregs[acc as usize], m);
                         }
                         Op::DotStep { idx } => {
-                            let d = &self.dot_table[idx as usize];
-                            let i1 = iregs[d.a1 as usize]
-                                .wrapping_mul(iregs[d.b1 as usize])
-                                .wrapping_add(iregs[d.c1 as usize]);
-                            let v1 = mem.load(d.buf1, i1)?;
-                            let i2 = iregs[d.a2 as usize]
-                                .wrapping_mul(iregs[d.b2 as usize])
-                                .wrapping_add(iregs[d.c2 as usize]);
-                            let v2 = mem.load(d.buf2, i2)?;
-                            let m = apply_fbin(d.pm, FloatBinOp::Mul, v1, v2);
-                            fregs[d.dst as usize] =
-                                apply_fbin(d.pa, FloatBinOp::Add, fregs[d.acc as usize], m);
+                            dot_step(&self.dot_table[idx as usize], iregs, fregs, mem)?;
+                        }
+                        Op::DotLoop {
+                            step,
+                            k,
+                            end,
+                            count,
+                        } => {
+                            let d = &self.dot_table[step as usize];
+                            dot_loop(d, k, end, &mut hits[count as usize], iregs, fregs, mem)?;
                         }
                         Op::CountAddJump {
                             idx,
@@ -2207,12 +2456,72 @@ trait BufMem {
     /// buffer slot `buf`, rounding to the buffer's precision exactly like
     /// [`FloatVec::set`].
     fn store(&mut self, buf: u16, i: i64, v: f64, from: Precision) -> Result<(), ExecError>;
+    /// The readable window of buffer slot `buf`: element `i` of the
+    /// buffer is `view[i - lo]` for every `i` in `[lo, lo + view.len())`.
+    fn view(&self, buf: u16) -> (i64, View<'_>);
+}
+
+/// A read-only typed slice of one buffer.
+#[derive(Clone, Copy)]
+enum View<'a> {
+    H(&'a [F16]),
+    S(&'a [f32]),
+    D(&'a [f64]),
+}
+
+impl<'a> View<'a> {
+    fn of(data: &'a FloatVec) -> View<'a> {
+        match data {
+            FloatVec::F16(v) => View::H(v),
+            FloatVec::F32(v) => View::S(v),
+            FloatVec::F64(v) => View::D(v),
+        }
+    }
+
+    fn len(self) -> usize {
+        match self {
+            View::H(v) => v.len(),
+            View::S(v) => v.len(),
+            View::D(v) => v.len(),
+        }
+    }
+}
+
+/// A storage element, widened exactly to `f64` on load.
+trait Widen: Copy {
+    fn widen(self) -> f64;
+}
+
+impl Widen for F16 {
+    #[inline(always)]
+    fn widen(self) -> f64 {
+        self.to_f64()
+    }
+}
+
+impl Widen for f32 {
+    #[inline(always)]
+    fn widen(self) -> f64 {
+        f64::from(self)
+    }
+}
+
+impl Widen for f64 {
+    #[inline(always)]
+    fn widen(self) -> f64 {
+        self
+    }
 }
 
 /// Whole-buffer access: the sequential execution strategy.
 struct FullMem<'a>(&'a mut [(String, FloatVec)]);
 
 impl BufMem for FullMem<'_> {
+    #[inline]
+    fn view(&self, buf: u16) -> (i64, View<'_>) {
+        (0, View::of(&self.0[buf as usize].1))
+    }
+
     #[inline(always)]
     fn load(&self, buf: u16, i: i64) -> Result<f64, ExecError> {
         let (name, data) = &self.0[buf as usize];
@@ -2283,6 +2592,21 @@ struct ChunkMem<'a> {
 }
 
 impl BufMem for ChunkMem<'_> {
+    #[inline]
+    fn view(&self, buf: u16) -> (i64, View<'_>) {
+        match &self.slots[buf as usize] {
+            ChunkSlot::Shared((_, data)) => (0, View::of(data)),
+            ChunkSlot::Carved { lo, seg, .. } => (
+                *lo,
+                match seg {
+                    Seg::H(v) => View::H(v),
+                    Seg::S(v) => View::S(v),
+                    Seg::D(v) => View::D(v),
+                },
+            ),
+        }
+    }
+
     #[inline(always)]
     fn load(&self, buf: u16, i: i64) -> Result<f64, ExecError> {
         match &self.slots[buf as usize] {
@@ -2660,12 +2984,15 @@ mod tests {
         assert!(matches!(compile_kernel(&k), Err(ExecError::KindError(_))));
     }
 
-    #[test]
-    fn hot_loops_fuse_into_superinstructions() {
-        // A GEMM-shaped inner loop must hit every fusion pattern: fused
-        // compare-branches, a fused back-edge, row-major indexed loads,
-        // and the accumulator copy sunk into its producer.
-        let k = kernel("mm")
+    /// A GEMM-shaped kernel whose inner loop runs `body` after the
+    /// multiply-accumulate into `acc`.
+    fn mm_with(extra: Vec<Stmt>) -> Kernel {
+        let mut body = vec![add_assign(
+            "acc",
+            load("a", var("i") * var("n") + var("kk")) * load("b", var("kk") * var("n") + var("j")),
+        )];
+        body.extend(extra);
+        kernel("mm")
             .buffer("a", Precision::Double, Access::Read)
             .buffer("b", Precision::Double, Access::Read)
             .buffer("c", Precision::Double, Access::ReadWrite)
@@ -2677,38 +3004,85 @@ mod tests {
                     lt(var("i"), var("n")),
                     vec![
                         let_acc("acc", "c", flit(0.0)),
-                        for_(
-                            "kk",
-                            int(0),
-                            var("n"),
-                            vec![add_assign(
-                                "acc",
-                                load("a", var("i") * var("n") + var("kk"))
-                                    * load("b", var("kk") * var("n") + var("j")),
-                            )],
-                        ),
-                        store("c", var("i") * var("n") + var("j"), var("acc")),
+                        let_acc("sum", "c", flit(0.0)),
+                        for_("kk", int(0), var("n"), body),
+                        store("c", var("i") * var("n") + var("j"), var("acc") + var("sum")),
                     ],
                 ),
-            ]);
-        let compiled = compile_kernel(&k).unwrap();
-        let has = |f: &dyn Fn(&Op) -> bool| compiled.ops.iter().any(f);
-        assert!(has(&|o| matches!(o, Op::JumpICmpFalse { .. })));
-        assert!(has(&|o| matches!(o, Op::DotStep { .. })));
-        assert!(has(&|o| matches!(o, Op::CountAddJump { .. })));
-        assert!(
-            !has(&|o| matches!(o, Op::FMov { .. })),
-            "accumulator moves must sink into their producers"
-        );
-        // The fused inner loop (head + dot-step + counting back-edge)
-        // dispatches 3 ops per iteration, down from 14 unfused.
+            ])
+    }
+
+    #[test]
+    fn hot_loops_fuse_into_superinstructions() {
         let n = 6usize;
-        let mut bufs = BufferMap::new();
         let xs: Vec<f64> = (0..n * n).map(|i| (i as f64).sin()).collect();
+        let mut bufs = BufferMap::new();
         bufs.insert("a".into(), FloatVec::from_f64_slice(&xs, Precision::Double));
         bufs.insert("b".into(), FloatVec::from_f64_slice(&xs, Precision::Double));
         bufs.insert("c".into(), FloatVec::zeros(n * n, Precision::Double));
         let launch = Launch::two_d(n, n).arg_int("n", n as i64);
+
+        // GEMM's inner loop (compare-branch head, dot-product step and
+        // counting back-edge) is one instruction for the whole loop, down
+        // from 14 dispatches per iteration unfused and 3 with `DotStep`.
+        let k = mm_with(vec![]);
+        let compiled = compile_kernel(&k).unwrap();
+        let has = |f: &dyn Fn(&Op) -> bool| compiled.ops.iter().any(f);
+        assert_eq!(compiled.fused_loops(), 1);
+        assert!(!has(&|o| matches!(o, Op::JumpICmpFalse { .. })));
+        assert!(!has(&|o| matches!(o, Op::DotStep { .. })));
+        assert!(!has(&|o| matches!(o, Op::CountAddJump { .. })));
+        assert!(
+            !has(&|o| matches!(o, Op::FMov { .. })),
+            "accumulator moves must sink into their producers"
+        );
+        assert_equiv(&k, bufs.clone(), &launch);
+
+        // A second statement in the body keeps the per-iteration fusions:
+        // fused compare-branches, row-major indexed loads in a dot-product
+        // step, the accumulator copy sunk into its producer, and a
+        // counting back-edge.
+        let k = mm_with(vec![add_assign("sum", var("acc"))]);
+        let compiled = compile_kernel(&k).unwrap();
+        let has = |f: &dyn Fn(&Op) -> bool| compiled.ops.iter().any(f);
+        assert_eq!(compiled.fused_loops(), 0);
+        assert!(has(&|o| matches!(o, Op::JumpICmpFalse { .. })));
+        assert!(has(&|o| matches!(o, Op::DotStep { .. })));
+        assert!(has(&|o| matches!(o, Op::CountAddJump { .. })));
+        assert!(!has(&|o| matches!(o, Op::FMov { .. })));
+        assert_equiv(&k, bufs, &launch);
+    }
+
+    #[test]
+    fn loop_end_bound_is_read_once() {
+        // The body shrinks the variable its end bound came from; the
+        // interpreter evaluates `0..m` once, so the loop still runs 10
+        // trips (c[0] = 10, 10 add_sub, 30 int ops).
+        let k = kernel("shrink")
+            .buffer("c", Precision::Double, Access::ReadWrite)
+            .int_param("n")
+            .body(vec![
+                let_("m", var("n")),
+                let_acc("acc", "c", flit(0.0)),
+                for_(
+                    "k",
+                    int(0),
+                    var("m"),
+                    vec![assign("m", var("m") - int(1)), add_assign("acc", flit(1.0))],
+                ),
+                store("c", int(0), var("acc")),
+            ]);
+        let mut bufs = BufferMap::new();
+        bufs.insert("c".into(), FloatVec::zeros(1, Precision::Double));
+        let launch = Launch::one_d(1).arg_int("n", 10);
+        let mut vm_bufs = bufs.clone();
+        let counts = compile_kernel(&k)
+            .unwrap()
+            .run(&mut vm_bufs, &launch)
+            .unwrap();
+        assert_eq!(vm_bufs["c"].get(0), 10.0);
+        assert_eq!(counts.int_ops, 30);
+        assert_eq!(counts.at(Precision::Double).add_sub, 10);
         assert_equiv(&k, bufs, &launch);
     }
 

@@ -38,13 +38,15 @@ fn arb_precision() -> impl Strategy<Value = Precision> {
     ]
 }
 
-/// Integer expressions. `in_loop` enables the loop variable `k`.
+/// Integer expressions. `in_loop` enables the loop variable `k`; the
+/// integer local `m` (declared first in every body) is always in scope.
 fn arb_int_expr(depth: u32, in_loop: bool) -> BoxedStrategy<Expr> {
     let mut leaves = vec![
         (-3i64..20).prop_map(int).boxed(),
         Just(global_id(0)).boxed(),
         Just(global_id(1)).boxed(),
         Just(var("n")).boxed(),
+        Just(var("m")).boxed(),
     ];
     if in_loop {
         leaves.push(Just(var("k")).boxed());
@@ -127,6 +129,14 @@ fn arb_float_expr(depth: u32, in_loop: bool, locals: bool) -> BoxedStrategy<Expr
     .boxed()
 }
 
+/// Reassigns the integer local `m`, kept in `[-3, 9]` so loops bounded
+/// by it stay short.
+fn arb_assign_m(in_loop: bool) -> BoxedStrategy<Stmt> {
+    arb_int_expr(1, in_loop)
+        .prop_map(|e| assign("m", min2(max2(e, int(-3)), int(9))))
+        .boxed()
+}
+
 /// Statements (bounded nesting). Only integer `if` conditions, so the
 /// static analysis stays exact.
 fn arb_stmts(depth: u32, in_loop: bool) -> BoxedStrategy<Vec<Stmt>> {
@@ -134,14 +144,26 @@ fn arb_stmts(depth: u32, in_loop: bool) -> BoxedStrategy<Vec<Stmt>> {
         .prop_map(|(i, v)| store("b", clamped(i), v));
     let assign0 = arb_float_expr(2, in_loop, true).prop_map(|v| assign("t0", v));
     let assign1 = arb_float_expr(2, in_loop, true).prop_map(|v| assign("t1", v));
+    let assign_m = arb_assign_m(in_loop);
     if depth == 0 {
-        return proptest::collection::vec(prop_oneof![store_stmt, assign0, assign1], 1..3).boxed();
+        return proptest::collection::vec(
+            prop_oneof![3 => store_stmt, 1 => assign0, 1 => assign1, 1 => assign_m],
+            1..3,
+        )
+        .boxed();
     }
     let body = arb_stmts(depth - 1, true);
     let ibody = arb_stmts(depth - 1, in_loop);
-    let for_stmt = (arb_int_expr(0, in_loop), 1i64..4, body).prop_map(|(s, trips, b)| {
+    let for_stmt = (arb_int_expr(0, in_loop), 1i64..4, body.clone()).prop_map(|(s, trips, b)| {
         // Bounds may be negative → empty loops are exercised too.
         for_("k", s.clone(), s + int(trips), b)
+    });
+    // A loop bounded by `m` whose body moves `m` first: the end bound is
+    // read once, before the first trip, so the trip count must not follow.
+    let for_m_stmt = (arb_int_expr(0, in_loop), -2i64..3, body).prop_map(|(s, step, b)| {
+        let mut stmts = vec![assign("m", var("m") + int(step))];
+        stmts.extend(b);
+        for_("k", s, var("m"), stmts)
     });
     let if_stmt = (
         arb_int_expr(1, in_loop),
@@ -151,7 +173,15 @@ fn arb_stmts(depth: u32, in_loop: bool) -> BoxedStrategy<Vec<Stmt>> {
     )
         .prop_map(|(x, y, t, e)| if_else(lt(x, y), t, e));
     proptest::collection::vec(
-        prop_oneof![3 => store_stmt, 1 => assign0, 1 => assign1, 1 => for_stmt, 1 => if_stmt],
+        prop_oneof![
+            3 => store_stmt,
+            1 => assign0,
+            1 => assign1,
+            1 => assign_m,
+            1 => for_stmt,
+            1 => for_m_stmt,
+            1 => if_stmt,
+        ],
         1..4,
     )
     .boxed()
@@ -165,9 +195,14 @@ fn arb_kernel() -> impl Strategy<Value = Kernel> {
         arb_float_expr(1, false, false),
         arb_float_expr(1, false, false),
         arb_stmts(2, false),
+        0i64..6,
     )
-        .prop_map(|(pa, pb, init0, init1, stmts)| {
-            let mut body = vec![let_ty("t0", pa, init0), let_ty("t1", pb, init1)];
+        .prop_map(|(pa, pb, init0, init1, stmts, m0)| {
+            let mut body = vec![
+                let_("m", var("n") - int(m0)),
+                let_ty("t0", pa, init0),
+                let_ty("t1", pb, init1),
+            ];
             body.extend(stmts);
             kernel("fuzz")
                 .buffer("a", pa, Access::Read)

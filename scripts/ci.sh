@@ -59,13 +59,17 @@ for seed in 1 2 3; do
         --test static_analysis_properties
 done
 
-# Data-parallel execution equivalence: the whole workspace suite must
-# pass with the session's default thread budget pinned to 1 (today's
-# sequential behavior), 2, and 8 — execution parallelism is physical
-# only and must never change an output, an OpCounts, or a Timeline.
+# Data-parallel execution equivalence: the parallel-execution and
+# VM-vs-interpreter suites must pass with the session's default thread
+# budget pinned to 1 (today's sequential behavior), 2, and 8 — execution
+# parallelism is physical only and must never change an output, an
+# OpCounts, or a Timeline. The tiny apps of the engine suite are large
+# enough to take the chunked path, so this pins the interpreter against
+# the VM's fused reduction loops over carved chunk segments.
 for threads in 1 2 8; do
     PRESCALER_EXEC_THREADS=$threads \
-        cargo test -q --offline --test parallel_exec_properties
+        cargo test -q --offline --test parallel_exec_properties \
+        --test engine_equivalence
 done
 
 # Crash-resume smoke: kill one tune at a seeded boundary with a seeded
