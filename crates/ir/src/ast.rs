@@ -160,6 +160,23 @@ pub enum Expr {
     },
 }
 
+impl Expr {
+    /// Whether this expression's float precision is still
+    /// context-determined: a literal, or math over literals only (the type
+    /// checker's `WeakFloat`). Both engines resolve such an operand
+    /// against its sibling's precision.
+    #[must_use]
+    pub fn is_weak_float(&self) -> bool {
+        match self {
+            Expr::FloatConst(_) => true,
+            Expr::Unary { arg, .. } => arg.is_weak_float(),
+            Expr::Bin { lhs, rhs, .. } => lhs.is_weak_float() && rhs.is_weak_float(),
+            Expr::Select { then, els, .. } => then.is_weak_float() && els.is_weak_float(),
+            _ => false,
+        }
+    }
+}
+
 /// A statement.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Stmt {
@@ -238,20 +255,14 @@ impl Kernel {
         }
     }
 
-    /// Resolves a [`TypeRef`] against this kernel's parameter table.
-    ///
-    /// # Panics
-    ///
-    /// Panics if an `ElemOf` target is not a buffer parameter; the type
-    /// checker rejects such kernels first.
+    /// Resolves a [`TypeRef`] against this kernel's parameter table, or
+    /// `None` when an `ElemOf` target is not a buffer parameter (a kernel
+    /// the type checker rejects).
     #[must_use]
-    pub fn resolve(&self, ty: &TypeRef) -> ScalarType {
+    pub fn resolve(&self, ty: &TypeRef) -> Option<ScalarType> {
         match ty {
-            TypeRef::Concrete(t) => *t,
-            TypeRef::ElemOf(buf) => ScalarType::Float(
-                self.buffer_elem(buf)
-                    .unwrap_or_else(|| panic!("ElemOf({buf}) does not name a buffer")),
-            ),
+            TypeRef::Concrete(t) => Some(*t),
+            TypeRef::ElemOf(buf) => self.buffer_elem(buf).map(ScalarType::Float),
         }
     }
 
@@ -386,21 +397,24 @@ mod tests {
         assert_eq!(k.buffer_elem("alpha"), None);
         assert_eq!(
             k.resolve(&TypeRef::ElemOf("a".into())),
-            ScalarType::Float(Precision::Single)
+            Some(ScalarType::Float(Precision::Single))
         );
         assert_eq!(k.buffer_names(), vec!["a"]);
         assert!(k.param("missing").is_none());
     }
 
     #[test]
-    #[should_panic(expected = "does not name a buffer")]
-    fn resolving_elem_of_non_buffer_panics() {
+    fn resolving_elem_of_non_buffer_is_none() {
         let k = Kernel {
             name: "k".into(),
-            params: vec![],
+            params: vec![Param::Scalar {
+                name: "n".into(),
+                ty: ScalarType::Int.into(),
+            }],
             body: vec![],
         };
-        let _ = k.resolve(&TypeRef::ElemOf("ghost".into()));
+        assert_eq!(k.resolve(&TypeRef::ElemOf("ghost".into())), None);
+        assert_eq!(k.resolve(&TypeRef::ElemOf("n".into())), None);
     }
 
     #[test]

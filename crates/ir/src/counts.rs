@@ -1,10 +1,11 @@
 //! Operation counts — the currency of the GPU cost model.
 //!
-//! Both the interpreter (dynamic, exact) and the static analysis
-//! ([`crate::analysis`]) produce [`OpCounts`]; the simulator turns them into
-//! virtual kernel time using per-architecture throughput tables.
+//! Both engines, the interpreter and the VM, tally exact dynamic
+//! [`OpCounts`] while they execute; the simulator turns them into virtual
+//! kernel time using per-architecture throughput tables.
 
 use crate::types::Precision;
+use crate::value::{FloatBinOp, UnaryFn};
 use core::ops::{Add, AddAssign, Mul};
 
 /// Per-precision operation counters.
@@ -31,6 +32,27 @@ impl PrecCounts {
     #[must_use]
     pub fn flops(&self) -> u64 {
         self.add_sub + self.mul + self.div + self.special + self.cmp
+    }
+
+    /// Tallies one binary op (`min`/`max` count as additions). Shared by
+    /// both engines.
+    pub(crate) fn count_bin(&mut self, op: FloatBinOp) {
+        match op {
+            FloatBinOp::Add | FloatBinOp::Sub | FloatBinOp::Min | FloatBinOp::Max => {
+                self.add_sub += 1;
+            }
+            FloatBinOp::Mul => self.mul += 1,
+            FloatBinOp::Div => self.div += 1,
+        }
+    }
+
+    /// Tallies one math function (negation and `fabs` count as additions,
+    /// the rest as special functions). Shared by both engines.
+    pub(crate) fn count_unary(&mut self, op: UnaryFn) {
+        match op {
+            UnaryFn::Neg | UnaryFn::Fabs => self.add_sub += 1,
+            _ => self.special += 1,
+        }
     }
 }
 

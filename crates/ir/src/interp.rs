@@ -4,14 +4,13 @@
 //! NDRange, computing every float operation *in the promoted precision of
 //! its operands* (true binary16/32/64 arithmetic), so numeric error from
 //! precision scaling is real. It simultaneously tallies exact dynamic
-//! [`OpCounts`], which the simulator converts into virtual kernel time and
-//! which validate the static analysis.
+//! [`OpCounts`], which the simulator converts into virtual kernel time.
 
 use crate::array::FloatVec;
-use crate::ast::{Expr, Kernel, Param, Stmt};
+use crate::ast::{Expr, Kernel, Param, Stmt, TypeRef};
 use crate::counts::OpCounts;
 use crate::types::{Precision, ScalarType};
-use crate::value::{CmpOp, FloatBinOp, Scalar, UnaryFn};
+use crate::value::{promote, Scalar};
 use core::fmt;
 use std::collections::HashMap;
 
@@ -184,8 +183,7 @@ pub fn run_kernel(
                     .find(|(n, _)| n == name)
                     .map(|(_, v)| *v)
                     .ok_or_else(|| ExecError::MissingArg(name.clone()))?;
-                let resolved = kernel.resolve(ty);
-                let value = match (resolved, arg) {
+                let value = match (resolve_type(kernel, ty)?, arg) {
                     (ScalarType::Int, ArgValue::Int(v)) => Scalar::Int(v),
                     (ScalarType::Float(p), ArgValue::Float(v)) => Scalar::float(v, p),
                     // Binding an int literal to a float param is a common
@@ -228,16 +226,15 @@ struct Interp<'a> {
     counts: &'a mut OpCounts,
 }
 
-/// Whether an expression's float precision is still context-determined
-/// (mirrors the checker's `WeakFloat`).
-fn is_weak(e: &Expr) -> bool {
-    match e {
-        Expr::FloatConst(_) => true,
-        Expr::Unary { arg, .. } => is_weak(arg),
-        Expr::Bin { lhs, rhs, .. } => is_weak(lhs) && is_weak(rhs),
-        Expr::Select { then, els, .. } => is_weak(then) && is_weak(els),
-        _ => false,
-    }
+/// [`Kernel::resolve`] for the engines: a dangling `ElemOf` is
+/// [`ExecError::NotABuffer`], never a panic.
+pub(crate) fn resolve_type(kernel: &Kernel, ty: &TypeRef) -> Result<ScalarType, ExecError> {
+    kernel.resolve(ty).ok_or_else(|| {
+        ExecError::NotABuffer(match ty {
+            TypeRef::ElemOf(buf) => buf.clone(),
+            TypeRef::Concrete(t) => t.to_string(),
+        })
+    })
 }
 
 impl<'a> Interp<'a> {
@@ -281,13 +278,13 @@ impl<'a> Interp<'a> {
     fn stmt(&mut self, stmt: &'a Stmt) -> Result<(), ExecError> {
         match stmt {
             Stmt::Let { name, ty, value } => {
-                let hint = ty.as_ref().and_then(|t| match self.kernel.resolve(t) {
-                    ScalarType::Float(p) => Some(p),
-                    _ => None,
-                });
-                let mut v = self.eval(value, hint)?;
-                if let Some(t) = ty {
-                    v = self.coerce(v, self.kernel.resolve(t));
+                let declared = ty
+                    .as_ref()
+                    .map(|t| resolve_type(self.kernel, t))
+                    .transpose()?;
+                let mut v = self.eval(value, declared.and_then(ScalarType::precision))?;
+                if let Some(t) = declared {
+                    v = self.coerce(v, t);
                 }
                 self.top_scope().insert(name.as_str(), v);
                 Ok(())
@@ -451,13 +448,7 @@ impl<'a> Interp<'a> {
                     ));
                 }
                 match v.precision() {
-                    Some(p) => {
-                        let slot = self.counts.at_mut(p);
-                        match op {
-                            UnaryFn::Neg | UnaryFn::Fabs => slot.add_sub += 1,
-                            _ => slot.special += 1,
-                        }
-                    }
+                    Some(p) => self.counts.at_mut(p).count_unary(*op),
                     None => self.counts.int_ops += 1,
                 }
                 Ok(op.apply(v))
@@ -467,7 +458,10 @@ impl<'a> Interp<'a> {
                 if matches!(a, Scalar::Bool(_)) || matches!(b, Scalar::Bool(_)) {
                     return Err(ExecError::KindError("boolean operand in arithmetic".into()));
                 }
-                self.count_bin(*op, a, b);
+                match promote(a.precision(), b.precision()) {
+                    Some(p) => self.counts.at_mut(p).count_bin(*op),
+                    None => self.counts.int_ops += 1,
+                }
                 Ok(Scalar::binop(*op, a, b))
             }
             Expr::Cmp { op, lhs, rhs } => {
@@ -475,7 +469,7 @@ impl<'a> Interp<'a> {
                 if matches!(a, Scalar::Bool(_)) || matches!(b, Scalar::Bool(_)) {
                     return Err(ExecError::KindError("boolean operand in comparison".into()));
                 }
-                match promoted(a, b) {
+                match promote(a.precision(), b.precision()) {
                     Some(p) => self.counts.at_mut(p).cmp += 1,
                     None => self.counts.int_ops += 1,
                 }
@@ -483,7 +477,8 @@ impl<'a> Interp<'a> {
             }
             Expr::Cast { to, arg } => {
                 let v = self.eval(arg, None)?;
-                Ok(self.coerce(v, self.kernel.resolve(to)))
+                let target = resolve_type(self.kernel, to)?;
+                Ok(self.coerce(v, target))
             }
             Expr::Select { cond, then, els } => {
                 let c = self.eval(cond, None)?.try_bool().ok_or_else(|| {
@@ -526,8 +521,8 @@ impl<'a> Interp<'a> {
         rhs: &'a Expr,
         hint: Option<Precision>,
     ) -> Result<(Scalar, Scalar), ExecError> {
-        let lw = is_weak(lhs);
-        let rw = is_weak(rhs);
+        let lw = lhs.is_weak_float();
+        let rw = rhs.is_weak_float();
         if lw && !rw {
             let b = self.eval(rhs, hint)?;
             let a = self.eval(lhs, b.precision())?;
@@ -542,38 +537,6 @@ impl<'a> Interp<'a> {
             Ok((a, b))
         }
     }
-
-    fn count_bin(&mut self, op: FloatBinOp, a: Scalar, b: Scalar) {
-        match promoted(a, b) {
-            Some(p) => {
-                let slot = self.counts.at_mut(p);
-                match op {
-                    FloatBinOp::Add | FloatBinOp::Sub | FloatBinOp::Min | FloatBinOp::Max => {
-                        slot.add_sub += 1;
-                    }
-                    FloatBinOp::Mul => slot.mul += 1,
-                    FloatBinOp::Div => slot.div += 1,
-                }
-            }
-            None => self.counts.int_ops += 1,
-        }
-    }
-}
-
-/// The promotion precision of two runtime values, or `None` for int/int.
-fn promoted(a: Scalar, b: Scalar) -> Option<Precision> {
-    match (a.precision(), b.precision()) {
-        (Some(x), Some(y)) => Some(x.max(y)),
-        (Some(x), None) | (None, Some(x)) => Some(x),
-        (None, None) => None,
-    }
-}
-
-/// Convenience for evaluating a comparison operator outside the
-/// interpreter (used by tests).
-#[must_use]
-pub fn eval_cmp(op: CmpOp, a: f64, b: f64) -> bool {
-    Scalar::compare(op, Scalar::F64(a), Scalar::F64(b)).as_bool()
 }
 
 #[cfg(test)]
@@ -813,12 +776,6 @@ mod tests {
         for i in 0..12 {
             assert_eq!(bufs["c"].get(i), i as f64);
         }
-    }
-
-    #[test]
-    fn eval_cmp_helper() {
-        assert!(eval_cmp(CmpOp::Lt, 1.0, 2.0));
-        assert!(!eval_cmp(CmpOp::Gt, 1.0, 2.0));
     }
 
     #[test]

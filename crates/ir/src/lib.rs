@@ -12,13 +12,15 @@
 //!   constant folding, access inference;
 //! * [`interp`] — functional execution in true binary16/32/64 arithmetic,
 //!   with exact dynamic operation counts;
-//! * [`analysis`] — static operation counts that match the interpreter
-//!   bit-for-bit on integer-controlled kernels;
+//! * [`vm`] — the same semantics compiled to a register bytecode, run
+//!   sequentially or in disjoint NDRange chunks on threads;
+//! * [`analysis`] — the disjoint-write proof that lets a launch run in
+//!   parallel chunks;
 //! * [`range`] — forward value-range dataflow (interval arithmetic with
 //!   widening at loop heads) proving precision-safety verdicts;
 //! * [`verify`] — a structural IR verifier with typed diagnostics, run
 //!   before kernel compilation;
-//! * [`print`] — OpenCL-C-like pretty-printing.
+//! * [`mod@print`] — OpenCL-C-like pretty-printing.
 //!
 //! # Example
 //!

@@ -18,7 +18,7 @@
 
 use crate::ast::{Access, Expr, Kernel, Param, Stmt, TypeRef};
 use crate::types::{Precision, ScalarType};
-use crate::value::{CmpOp, FloatBinOp, UnaryFn};
+use crate::value::{FloatBinOp, UnaryFn};
 use std::collections::HashMap;
 
 /// Returns a copy of `kernel` whose named buffers use new element
@@ -50,7 +50,7 @@ pub fn retype_buffers(kernel: &Kernel, map: &HashMap<String, Precision>) -> Kern
 /// * every `ElemOf(buf)` local/scalar-parameter/cast type is replaced by
 ///   the concrete compute precision;
 /// * stores convert back to the buffer's element type implicitly (a real
-///   conversion instruction, counted by interpreter and analysis alike).
+///   conversion instruction, counted by both engines).
 #[must_use]
 pub fn insert_casts(kernel: &Kernel, compute: &HashMap<String, Precision>) -> Kernel {
     let resolve_tr = |ty: &TypeRef| -> TypeRef {
@@ -199,7 +199,7 @@ pub fn const_fold(kernel: &Kernel) -> Kernel {
                 let l = fold_expr(lhs);
                 let r = fold_expr(rhs);
                 if let (Expr::IntConst(x), Expr::IntConst(y)) = (&l, &r) {
-                    return Expr::IntConst(apply_int(*op, *x, *y));
+                    return Expr::IntConst(op.apply_int(*x, *y));
                 }
                 // Identities that do not change float semantics: i + 0,
                 // i * 1 on the integer side only.
@@ -320,7 +320,7 @@ pub fn const_fold(kernel: &Kernel) -> Kernel {
 fn known_bool(e: &Expr) -> Option<bool> {
     if let Expr::Cmp { op, lhs, rhs } = e {
         if let (Expr::IntConst(x), Expr::IntConst(y)) = (lhs.as_ref(), rhs.as_ref()) {
-            return Some(apply_cmp(*op, *x, *y));
+            return Some(op.apply(*x, *y));
         }
     }
     None
@@ -328,34 +328,6 @@ fn known_bool(e: &Expr) -> Option<bool> {
 
 fn is_int_expr(e: &Expr) -> bool {
     matches!(e, Expr::IntConst(_) | Expr::GlobalId(_))
-}
-
-fn apply_int(op: FloatBinOp, x: i64, y: i64) -> i64 {
-    match op {
-        FloatBinOp::Add => x.wrapping_add(y),
-        FloatBinOp::Sub => x.wrapping_sub(y),
-        FloatBinOp::Mul => x.wrapping_mul(y),
-        FloatBinOp::Div => {
-            if y == 0 {
-                0
-            } else {
-                x.wrapping_div(y)
-            }
-        }
-        FloatBinOp::Min => x.min(y),
-        FloatBinOp::Max => x.max(y),
-    }
-}
-
-fn apply_cmp(op: CmpOp, x: i64, y: i64) -> bool {
-    match op {
-        CmpOp::Lt => x < y,
-        CmpOp::Le => x <= y,
-        CmpOp::Gt => x > y,
-        CmpOp::Ge => x >= y,
-        CmpOp::Eq => x == y,
-        CmpOp::Ne => x != y,
-    }
 }
 
 /// Recomputes each buffer's access mode from the loads and stores that
@@ -449,7 +421,7 @@ mod tests {
         check_kernel(&r).unwrap();
         // alpha tracks `a` and now resolves to half.
         let alpha_ty = match r.param("alpha").unwrap() {
-            Param::Scalar { ty, .. } => r.resolve(ty),
+            Param::Scalar { ty, .. } => r.resolve(ty).unwrap(),
             Param::Buffer { .. } => unreachable!(),
         };
         assert_eq!(alpha_ty, ScalarType::Float(Precision::Half));
@@ -474,7 +446,7 @@ mod tests {
                 if matches!(arg.as_ref(), Expr::Load { .. }) {
                     assert_eq!(
                         t.resolve(to),
-                        ScalarType::Float(Precision::Half),
+                        Some(ScalarType::Float(Precision::Half)),
                         "loads cast to the compute precision"
                     );
                     cast_loads += 1;

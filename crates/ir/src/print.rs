@@ -75,7 +75,12 @@ fn float_literal(v: f64) -> String {
 
 fn type_ref(kernel: &Kernel, ty: &TypeRef) -> String {
     // Print the *resolved* type: that is what generated source contains.
-    kernel.resolve(ty).to_string()
+    match (kernel.resolve(ty), ty) {
+        (Some(t), _) | (None, &TypeRef::Concrete(t)) => t.to_string(),
+        // A dangling `ElemOf` (the type checker rejects it) prints as the
+        // C spelling of what it asks for.
+        (None, TypeRef::ElemOf(buf)) => format!("__typeof__({buf}[0])"),
+    }
 }
 
 fn indent(out: &mut String, depth: usize) {

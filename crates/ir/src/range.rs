@@ -747,7 +747,7 @@ impl Absint<'_> {
                 Some(ScalarBound::Int(v)) => AVal::Int(IntRange::point(i128::from(*v))),
                 Some(ScalarBound::Float(v)) => AVal::Float(ValueRange::exact(*v)),
                 None => match self.kernel.resolve(ty) {
-                    ScalarType::Int => AVal::Int(IntRange::TOP),
+                    Some(ScalarType::Int) => AVal::Int(IntRange::TOP),
                     _ => AVal::Float(ValueRange::TOP),
                 },
             },
@@ -987,7 +987,7 @@ impl Absint<'_> {
             Expr::Cast { to, arg } => {
                 let a = self.eval(arg);
                 match self.kernel.resolve(to) {
-                    ScalarType::Int => match a {
+                    Some(ScalarType::Int) => match a {
                         AVal::Int(i) => AVal::Int(i),
                         _ => {
                             let b = a.as_float().bounds;

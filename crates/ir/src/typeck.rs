@@ -6,7 +6,7 @@
 
 use crate::ast::{Expr, Kernel, Param, Program, Stmt, TypeRef};
 use crate::types::{Precision, ScalarType};
-use crate::value::UnaryFn;
+use crate::value::{promote, UnaryFn};
 use core::fmt;
 use std::collections::{HashMap, HashSet};
 
@@ -299,7 +299,11 @@ impl Ctx<'_> {
                     });
                 }
                 match self.kernel.param(name) {
-                    Some(Param::Scalar { ty, .. }) => Ok(InferTy::Known(self.kernel.resolve(ty))),
+                    Some(Param::Scalar { ty, .. }) => {
+                        self.kernel.resolve(ty).map(InferTy::Known).ok_or_else(|| {
+                            self.err(format!("parameter `{name}` has a dangling element type"))
+                        })
+                    }
                     Some(Param::Buffer { .. }) => {
                         Err(self.err(format!("buffer `{name}` used as a scalar")))
                     }
@@ -381,9 +385,9 @@ impl Ctx<'_> {
         use ScalarType::{Bool, Float, Int};
         match (a, b) {
             (Known(Bool), _) | (_, Known(Bool)) => Err(self.err("boolean operand in arithmetic")),
-            (Known(Int), Known(Int)) => Ok(Known(Int)),
-            (Known(Float(x)), Known(Float(y))) => Ok(Known(Float(x.max(y)))),
-            (Known(Float(x)), Known(Int)) | (Known(Int), Known(Float(x))) => Ok(Known(Float(x))),
+            (Known(x), Known(y)) => Ok(Known(
+                promote(x.precision(), y.precision()).map_or(Int, Float),
+            )),
             (WeakFloat, Known(Float(x))) | (Known(Float(x)), WeakFloat) => Ok(Known(Float(x))),
             // A weak literal against an int computes in double (C rules).
             (WeakFloat, Known(Int)) | (Known(Int), WeakFloat) => {

@@ -139,7 +139,9 @@ impl Scalar {
         match (a, b) {
             (Scalar::Int(x), Scalar::Int(y)) => Scalar::Int(op.apply_int(x, y)),
             _ => {
-                let p = promote(a, b);
+                // Bool operands are a type error caught by the checker;
+                // default to double for robustness.
+                let p = promote(a.precision(), b.precision()).unwrap_or(Precision::Double);
                 match p {
                     Precision::Half => {
                         let x = F16::from_f64(a.as_f64());
@@ -157,18 +159,14 @@ impl Scalar {
         }
     }
 
-    /// Compares two numeric values (in `f64`, which is exact for all
-    /// operand precisions).
+    /// Compares two numeric values: two integers exactly as `i64`,
+    /// anything else in `f64` (exact for every float precision; an integer
+    /// against a float widens like `i as f64`).
     #[must_use]
     pub fn compare(op: CmpOp, a: Scalar, b: Scalar) -> Scalar {
-        let (x, y) = (a.as_f64(), b.as_f64());
-        Scalar::Bool(match op {
-            CmpOp::Lt => x < y,
-            CmpOp::Le => x <= y,
-            CmpOp::Gt => x > y,
-            CmpOp::Ge => x >= y,
-            CmpOp::Eq => x == y,
-            CmpOp::Ne => x != y,
+        Scalar::Bool(match (a, b) {
+            (Scalar::Int(x), Scalar::Int(y)) => op.apply(x, y),
+            _ => op.apply(a.as_f64(), b.as_f64()),
         })
     }
 }
@@ -185,14 +183,18 @@ impl fmt::Display for Scalar {
     }
 }
 
-/// The promotion precision for a mixed binary operation.
-fn promote(a: Scalar, b: Scalar) -> Precision {
-    match (a.precision(), b.precision()) {
-        (Some(x), Some(y)) => x.max(y),
-        (Some(x), None) | (None, Some(x)) => x,
-        // Int/Int never reaches here; Bool operands are a type error
-        // caught by the checker, so default to double for robustness.
-        (None, None) => Precision::Double,
+/// The promotion rule of a binary operation, given each operand's float
+/// precision (`None` for a non-float): the wider float precision, or the
+/// float side's precision against an integer. `None` when neither operand
+/// is a float, i.e. integer arithmetic. Shared by the type checker, both
+/// engines and [`Scalar::binop`].
+#[inline]
+#[must_use]
+pub(crate) fn promote(a: Option<Precision>, b: Option<Precision>) -> Option<Precision> {
+    match (a, b) {
+        (Some(x), Some(y)) => Some(x.max(y)),
+        (Some(x), None) | (None, Some(x)) => Some(x),
+        (None, None) => None,
     }
 }
 
@@ -255,7 +257,10 @@ impl FloatBinOp {
         F16::from_f32(self.apply_f32(x.to_f32(), y.to_f32()))
     }
 
-    fn apply_int(self, x: i64, y: i64) -> i64 {
+    /// The op on integers: wrapping arithmetic, with division by zero
+    /// defined as 0. Shared by both engines and constant folding.
+    #[inline]
+    pub(crate) fn apply_int(self, x: i64, y: i64) -> i64 {
         match self {
             FloatBinOp::Add => x.wrapping_add(y),
             FloatBinOp::Sub => x.wrapping_sub(y),
@@ -330,6 +335,20 @@ pub enum CmpOp {
 }
 
 impl CmpOp {
+    /// Evaluates the comparison. Shared by both engines and constant
+    /// folding; on floats every comparison with a NaN is false except `!=`.
+    #[inline]
+    pub(crate) fn apply<T: PartialOrd>(self, x: T, y: T) -> bool {
+        match self {
+            CmpOp::Lt => x < y,
+            CmpOp::Le => x <= y,
+            CmpOp::Gt => x > y,
+            CmpOp::Ge => x >= y,
+            CmpOp::Eq => x == y,
+            CmpOp::Ne => x != y,
+        }
+    }
+
     /// The C spelling of the operator.
     #[must_use]
     pub const fn c_symbol(self) -> &'static str {
@@ -463,6 +482,12 @@ mod tests {
         assert!(Scalar::compare(CmpOp::Lt, Scalar::Int(1), Scalar::Int(2)).as_bool());
         assert!(Scalar::compare(CmpOp::Ge, Scalar::F64(2.0), Scalar::F64(2.0)).as_bool());
         assert!(!Scalar::compare(CmpOp::Ne, Scalar::F32(1.0), Scalar::Int(1)).as_bool());
+        // Integers compare exactly: through f64, 2^53 + 1 would round to
+        // 2^53 and compare equal.
+        let (big, below) = (Scalar::Int((1 << 53) + 1), Scalar::Int(1 << 53));
+        assert!(Scalar::compare(CmpOp::Gt, big, below).as_bool());
+        assert!(Scalar::compare(CmpOp::Ne, big, below).as_bool());
+        assert!(!Scalar::compare(CmpOp::Le, big, below).as_bool());
     }
 
     #[test]

@@ -220,22 +220,13 @@ fn const_int(e: &Expr) -> Option<i64> {
         } => const_int(arg).map(i64::wrapping_neg),
         Expr::Bin { op, lhs, rhs } => {
             let (l, r) = (const_int(lhs)?, const_int(rhs)?);
-            Some(match op {
-                FloatBinOp::Add => l.wrapping_add(r),
-                FloatBinOp::Sub => l.wrapping_sub(r),
-                FloatBinOp::Mul => l.wrapping_mul(r),
-                // Constant division by zero has no value to fold to;
-                // treating it as runtime-dependent keeps the index out
-                // of the OOB and dead-store logic entirely.
-                FloatBinOp::Div => {
-                    if r == 0 {
-                        return None;
-                    }
-                    l.wrapping_div(r)
-                }
-                FloatBinOp::Min => l.min(r),
-                FloatBinOp::Max => l.max(r),
-            })
+            // Constant division by zero has no value to fold to; treating
+            // it as runtime-dependent keeps the index out of the OOB and
+            // dead-store logic entirely.
+            if *op == FloatBinOp::Div && r == 0 {
+                return None;
+            }
+            Some(op.apply_int(l, r))
         }
         _ => None,
     }

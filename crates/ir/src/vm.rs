@@ -40,7 +40,7 @@
 //!   per execution, which is exact because within a region every counted
 //!   operation executes unconditionally.
 //! * **Whole-loop fusion.** A counted loop whose body is one in-place
-//!   dot-product step runs as a single [`Op::DotLoop`]. Inside that loop
+//!   dot-product step runs as a single `DotLoop` instruction. Inside that loop
 //!   only the accumulator (a float register) and the loop variable
 //!   change, so every other integer register is constant and each
 //!   operand index is affine in the loop variable. The VM computes the
@@ -59,11 +59,11 @@
 pub use crate::analysis::ParallelSafety;
 use crate::analysis::{self, ChunkPlan};
 use crate::array::FloatVec;
-use crate::ast::{Expr, Kernel, Param, Stmt, TypeRef};
+use crate::ast::{Expr, Kernel, Param, Stmt};
 use crate::counts::OpCounts;
-use crate::interp::{ArgValue, BufferMap, ExecError, Launch};
+use crate::interp::{resolve_type, ArgValue, BufferMap, ExecError, Launch};
 use crate::types::{Precision, ScalarType};
-use crate::value::{CmpOp, FloatBinOp, UnaryFn};
+use crate::value::{promote, CmpOp, FloatBinOp, UnaryFn};
 use prescaler_fp16::F16;
 use std::collections::HashMap;
 use std::ops::Range;
@@ -423,7 +423,7 @@ pub fn compile_kernel(kernel: &Kernel) -> Result<CompiledKernel, ExecError> {
                 let slot = n_slots;
                 n_slots += 1;
                 arg_slots.insert(name.clone(), slot);
-                match kernel.resolve(ty) {
+                match resolve_type(kernel, ty)? {
                     ScalarType::Int => {
                         let reg = c.alloc_i();
                         c.params.push(ParamBind::ScalarInt {
@@ -559,13 +559,13 @@ impl<'k> Compiler<'k> {
     fn stmt(&mut self, stmt: &'k Stmt) -> Result<(), ExecError> {
         match stmt {
             Stmt::Let { name, ty, value } => {
-                let hint = ty.as_ref().and_then(|t| match self.kernel.resolve(t) {
-                    ScalarType::Float(p) => Some(p),
-                    _ => None,
-                });
-                let (mut v, mut t) = self.expr(value, hint)?;
-                if let Some(tr) = ty {
-                    (v, t) = self.coerce(v, t, self.kernel.resolve(tr));
+                let declared = ty
+                    .as_ref()
+                    .map(|t| resolve_type(self.kernel, t))
+                    .transpose()?;
+                let (mut v, mut t) = self.expr(value, declared.and_then(ScalarType::precision))?;
+                if let Some(target) = declared {
+                    (v, t) = self.coerce(v, t, target);
                 }
                 // Copy into a dedicated register so reassignment works.
                 let slot = match v {
@@ -841,11 +841,7 @@ impl<'k> Compiler<'k> {
                 let (v, t) = self.expr(arg, hint)?;
                 match t {
                     CTy::F(p) => {
-                        let slot = self.pending.at_mut(p);
-                        match op {
-                            UnaryFn::Neg | UnaryFn::Fabs => slot.add_sub += 1,
-                            _ => slot.special += 1,
-                        }
+                        self.pending.at_mut(p).count_unary(*op);
                         let dst = self.alloc_f();
                         self.ops.push(Op::FUn {
                             prec: p,
@@ -911,18 +907,11 @@ impl<'k> Compiler<'k> {
                         Ok((Val::I(dst), CTy::Int))
                     }
                     _ => {
-                        let p = promote_cty(ta, tb);
+                        let p =
+                            promote(ta.precision(), tb.precision()).unwrap_or(Precision::Double);
                         let fa = self.float_operand(a, ta, p);
                         let fb = self.float_operand(b, tb, p);
-                        let slot = self.pending.at_mut(p);
-                        match op {
-                            FloatBinOp::Add
-                            | FloatBinOp::Sub
-                            | FloatBinOp::Min
-                            | FloatBinOp::Max => slot.add_sub += 1,
-                            FloatBinOp::Mul => slot.mul += 1,
-                            FloatBinOp::Div => slot.div += 1,
-                        }
+                        self.pending.at_mut(p).count_bin(*op);
                         let dst = self.alloc_f();
                         self.ops.push(Op::FBin {
                             prec: p,
@@ -955,7 +944,8 @@ impl<'k> Compiler<'k> {
                         Ok((Val::I(dst), CTy::Bool))
                     }
                     _ => {
-                        let p = promote_cty(ta, tb);
+                        let p =
+                            promote(ta.precision(), tb.precision()).unwrap_or(Precision::Double);
                         self.pending.at_mut(p).cmp += 1;
                         // Comparisons are exact on f64, so an int
                         // operand widens exactly, never to `p`.
@@ -974,10 +964,7 @@ impl<'k> Compiler<'k> {
             }
             Expr::Cast { to, arg } => {
                 let (v, t) = self.expr(arg, None)?;
-                let target = match to {
-                    TypeRef::Concrete(t) => *t,
-                    TypeRef::ElemOf(_) => self.kernel.resolve(to),
-                };
+                let target = resolve_type(self.kernel, to)?;
                 Ok(self.coerce(v, t, target))
             }
             Expr::Select { cond, then, els } => {
@@ -1036,8 +1023,8 @@ impl<'k> Compiler<'k> {
         rhs: &'k Expr,
         hint: Option<Precision>,
     ) -> Result<(Val, CTy, Val, CTy), ExecError> {
-        let lw = expr_is_weak(lhs);
-        let rw = expr_is_weak(rhs);
+        let lw = lhs.is_weak_float();
+        let rw = rhs.is_weak_float();
         if lw && !rw {
             let (b, tb) = self.expr(rhs, hint)?;
             let (a, ta) = self.expr(lhs, tb.precision())?;
@@ -1489,24 +1476,6 @@ fn peephole_pass(ops: Vec<Op>, dot_table: &mut Vec<DotStepArgs>) -> Vec<Op> {
     out
 }
 
-fn expr_is_weak(e: &Expr) -> bool {
-    match e {
-        Expr::FloatConst(_) => true,
-        Expr::Unary { arg, .. } => expr_is_weak(arg),
-        Expr::Bin { lhs, rhs, .. } => expr_is_weak(lhs) && expr_is_weak(rhs),
-        Expr::Select { then, els, .. } => expr_is_weak(then) && expr_is_weak(els),
-        _ => false,
-    }
-}
-
-fn promote_cty(a: CTy, b: CTy) -> Precision {
-    match (a.precision(), b.precision()) {
-        (Some(x), Some(y)) => x.max(y),
-        (Some(x), None) | (None, Some(x)) => x,
-        (None, None) => Precision::Double,
-    }
-}
-
 /// Rounds `v`, exact at static precision `from`, to precision `p`.
 #[inline]
 fn round_to(p: Precision, from: Precision, v: f64) -> f64 {
@@ -1555,48 +1524,6 @@ fn apply_fun(p: Precision, op: UnaryFn, a: f64) -> f64 {
         Precision::Double => Scalar::F64(a),
     };
     op.apply(s).as_f64()
-}
-
-#[inline]
-fn apply_icmp(op: CmpOp, a: i64, b: i64) -> bool {
-    match op {
-        CmpOp::Lt => a < b,
-        CmpOp::Le => a <= b,
-        CmpOp::Gt => a > b,
-        CmpOp::Ge => a >= b,
-        CmpOp::Eq => a == b,
-        CmpOp::Ne => a != b,
-    }
-}
-
-#[inline]
-fn apply_fcmp(op: CmpOp, a: f64, b: f64) -> bool {
-    match op {
-        CmpOp::Lt => a < b,
-        CmpOp::Le => a <= b,
-        CmpOp::Gt => a > b,
-        CmpOp::Ge => a >= b,
-        CmpOp::Eq => a == b,
-        CmpOp::Ne => a != b,
-    }
-}
-
-#[inline]
-fn apply_ibin(op: FloatBinOp, a: i64, b: i64) -> i64 {
-    match op {
-        FloatBinOp::Add => a.wrapping_add(b),
-        FloatBinOp::Sub => a.wrapping_sub(b),
-        FloatBinOp::Mul => a.wrapping_mul(b),
-        FloatBinOp::Div => {
-            if b == 0 {
-                0
-            } else {
-                a.wrapping_div(b)
-            }
-        }
-        FloatBinOp::Min => a.min(b),
-        FloatBinOp::Max => a.max(b),
-    }
 }
 
 /// The row-major index `i[a]*i[b] + i[c]` in wrapping `i64` arithmetic.
@@ -2296,7 +2223,7 @@ impl CompiledKernel {
                         Op::FMov { dst, src } => fregs[dst as usize] = fregs[src as usize],
                         Op::IBin { op, dst, a, b } => {
                             iregs[dst as usize] =
-                                apply_ibin(op, iregs[a as usize], iregs[b as usize]);
+                                op.apply_int(iregs[a as usize], iregs[b as usize]);
                         }
                         Op::IAddImm { dst, a, imm } => {
                             iregs[dst as usize] = iregs[a as usize].wrapping_add(imm);
@@ -2315,11 +2242,11 @@ impl CompiledKernel {
                         }
                         Op::ICmp { op, dst, a, b } => {
                             iregs[dst as usize] =
-                                i64::from(apply_icmp(op, iregs[a as usize], iregs[b as usize]));
+                                i64::from(op.apply(iregs[a as usize], iregs[b as usize]));
                         }
                         Op::FCmp { op, dst, a, b } => {
                             iregs[dst as usize] =
-                                i64::from(apply_fcmp(op, fregs[a as usize], fregs[b as usize]));
+                                i64::from(op.apply(fregs[a as usize], fregs[b as usize]));
                         }
                         Op::FBin {
                             prec,
@@ -2373,13 +2300,13 @@ impl CompiledKernel {
                             hits[idx as usize] += 1;
                         }
                         Op::JumpICmpFalse { op, a, b, target } => {
-                            if !apply_icmp(op, iregs[a as usize], iregs[b as usize]) {
+                            if !op.apply(iregs[a as usize], iregs[b as usize]) {
                                 pc = target as usize;
                                 continue;
                             }
                         }
                         Op::JumpFCmpFalse { op, a, b, target } => {
-                            if !apply_fcmp(op, fregs[a as usize], fregs[b as usize]) {
+                            if !op.apply(fregs[a as usize], fregs[b as usize]) {
                                 pc = target as usize;
                                 continue;
                             }
@@ -2982,6 +2909,51 @@ mod tests {
             .buffer("c", Precision::Double, Access::Write)
             .body(vec![store("c", int(0), lt(int(0), int(1)) + flit(1.0))]);
         assert!(matches!(compile_kernel(&k), Err(ExecError::KindError(_))));
+    }
+
+    #[test]
+    fn dangling_elem_of_is_a_typed_error_in_both_engines() {
+        // `ElemOf` naming no buffer, as a scalar parameter's type, a
+        // local's declared type and a cast target.
+        let c = || kernel("loose").buffer("c", Precision::Single, Access::Write);
+        let kernels = [
+            c().float_param_like("alpha", "ghost")
+                .body(vec![store("c", int(0), var("alpha"))]),
+            c().body(vec![
+                let_acc("x", "ghost", flit(1.0)),
+                store("c", int(0), var("x")),
+            ]),
+            c().body(vec![store("c", int(0), cast_elem_of("ghost", flit(1.0)))]),
+        ];
+        let ghost = ExecError::NotABuffer("ghost".into());
+        for k in &kernels {
+            assert_eq!(compile_kernel(k).unwrap_err(), ghost);
+            let mut bufs = BufferMap::new();
+            bufs.insert("c".into(), FloatVec::zeros(1, Precision::Single));
+            let launch = Launch::one_d(1).arg_float("alpha", 1.0);
+            assert_eq!(run_kernel(k, &mut bufs, &launch).unwrap_err(), ghost);
+        }
+    }
+
+    #[test]
+    fn integer_comparisons_are_exact_in_both_engines() {
+        // 2^53 + 1 > 2^53, though the two are equal once widened to f64.
+        let k = kernel("cmp")
+            .buffer("c", Precision::Double, Access::Write)
+            .int_param("n")
+            .int_param("m")
+            .body(vec![if_(
+                gt(var("n"), var("m")),
+                vec![store("c", int(0), flit(1.0))],
+            )]);
+        let mut bufs = BufferMap::new();
+        bufs.insert("c".into(), FloatVec::zeros(1, Precision::Double));
+        let launch = Launch::one_d(1)
+            .arg_int("n", (1 << 53) + 1)
+            .arg_int("m", 1 << 53);
+        assert_equiv(&k, bufs.clone(), &launch);
+        run_kernel(&k, &mut bufs, &launch).unwrap();
+        assert_eq!(bufs["c"].get(0), 1.0);
     }
 
     /// A GEMM-shaped kernel whose inner loop runs `body` after the

@@ -1,8 +1,7 @@
 //! Differential fuzzing: random well-typed kernels must behave
-//! identically under the tree-walking interpreter and the bytecode VM
-//! (bit-identical buffers and operation counts), and — because the
-//! generator only emits integer-driven control flow — the static analysis
-//! must predict the dynamic counts exactly.
+//! identically under the tree-walking interpreter and the bytecode VM,
+//! sequential and parallel (bit-identical buffers and operation counts),
+//! and must survive a print/parse round trip unchanged.
 //!
 //! The generator reaches the corners binary16 rounding depends on:
 //! literals that overflow to infinity or land in the subnormal range
@@ -11,7 +10,6 @@
 //! to binary16 changes it. Stored elements compare by bit pattern, so a
 //! NaN payload or a sign that differs is a divergence too.
 
-use prescaler_ir::analysis::count_launch;
 use prescaler_ir::dsl::*;
 use prescaler_ir::interp::{run_kernel, BufferMap, Launch};
 use prescaler_ir::parse::parse_kernel;
@@ -239,7 +237,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
     #[test]
-    fn engines_and_analysis_agree_on_random_kernels(k in arb_kernel()) {
+    fn engines_agree_on_random_kernels(k in arb_kernel()) {
         check_kernel(&k).expect("generated kernels are well-typed");
         let pa = k.buffer_elem("a").unwrap();
         let pb = k.buffer_elem("b").unwrap();
@@ -289,10 +287,6 @@ proptest! {
                 );
             }
         }
-
-        // Integer-driven control flow ⇒ the static analysis is exact.
-        let counts_s = count_launch(&k, &launch).expect("analysis runs");
-        prop_assert_eq!(counts_s, counts_i, "static counts diverge from dynamic");
 
         // Printer/parser round trip: printing is a fixed point, and the
         // reparsed kernel behaves identically.

@@ -25,6 +25,9 @@ cargo clippy --workspace --all-targets --offline -- -D warnings \
     -D clippy::needless-continue \
     -D clippy::manual-let-else
 cargo fmt --all --check
+# Rustdoc must build warning-free: a deleted or private item that docs
+# still link to is a broken intra-doc link, not a silent stale comment.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 
 # IR verifier gate: every shipped polybench kernel must verify with zero
 # diagnostics of any severity, and the verifier must still reject each
