@@ -157,10 +157,18 @@ impl<'a> TrialEngine<'a> {
 
     /// The engine's `(app, system)` identity fingerprint — the context a
     /// [`TrialJournal`] is bound to, so a journal can never be replayed
-    /// into a different application or system.
+    /// into a different application, app configuration
+    /// ([`HostApp::identity`]) or system.
     #[must_use]
     pub fn context_fingerprint(&self) -> u64 {
-        self.base_fp
+        // The full app configuration, not just its name: a journal from
+        // GEMM at other dims, inputs or gain must never replay here. Kept
+        // out of `base_fp`, which also salts each trial's fault stream —
+        // one engine serves one app, so its trials need no app identity.
+        let mut h = Fnv::new();
+        h.u64(self.base_fp);
+        h.u64(self.app.identity());
+        h.finish()
     }
 
     /// Attaches a write-ahead journal and replays `recovered` records

@@ -21,6 +21,14 @@ pub trait HostApp: Sync {
     /// Application name ("GEMM").
     fn name(&self) -> &str;
 
+    /// A stable identity of everything [`HostApp::run`] depends on: the
+    /// application *and* its configuration (sizes, input data, seeds).
+    /// Apps with equal identities must run bit-identically; durable
+    /// tuning state is bound to it, so it must not change between
+    /// processes or builds — hash explicitly, never with a randomized
+    /// hasher, and never fall back to the name alone.
+    fn identity(&self) -> u64;
+
     /// The kernel program (original, unscaled precisions).
     fn program(&self) -> Program;
 
@@ -81,6 +89,11 @@ mod tests {
     impl HostApp for Doubler {
         fn name(&self) -> &str {
             "doubler"
+        }
+
+        fn identity(&self) -> u64 {
+            // One fixed configuration: 64 elements `0..64`.
+            64
         }
 
         fn program(&self) -> Program {

@@ -1,7 +1,7 @@
 //! The dynamic profiling log — what the paper's interposition library
 //! records for the application profiler (Table 2).
 
-use prescaler_ir::{OpCounts, Precision, ScalarBound};
+use prescaler_ir::{FloatVec, OpCounts, Precision, ScalarBound};
 use prescaler_sim::{Direction, SimTime, TransferCost};
 
 /// Value statistics of host data written to a memory object — the
@@ -24,13 +24,31 @@ impl WriteStats {
     /// Statistics over one host slice; `None` for empty slices.
     #[must_use]
     pub fn of(data: &[f64]) -> Option<WriteStats> {
-        if data.is_empty() {
+        WriteStats::fold(data.iter().copied())
+    }
+
+    /// Statistics over a typed host array, folded over its own storage
+    /// in element order — bit-identical to [`WriteStats::of`] on the
+    /// array widened to `f64` (widening is exact), without materializing
+    /// that copy.
+    #[must_use]
+    pub fn of_array(data: &FloatVec) -> Option<WriteStats> {
+        match data {
+            FloatVec::F16(v) => WriteStats::fold(v.iter().map(|x| x.to_f64())),
+            FloatVec::F32(v) => WriteStats::fold(v.iter().map(|&x| f64::from(x))),
+            FloatVec::F64(v) => WriteStats::fold(v.iter().copied()),
+        }
+    }
+
+    fn fold(values: impl ExactSizeIterator<Item = f64>) -> Option<WriteStats> {
+        let count = values.len();
+        if count == 0 {
             return None;
         }
         let mut lo = f64::INFINITY;
         let mut hi = f64::NEG_INFINITY;
         let mut sum = 0.0;
-        for &v in data {
+        for v in values {
             lo = lo.min(v);
             hi = hi.max(v);
             sum += v;
@@ -38,8 +56,8 @@ impl WriteStats {
         Some(WriteStats {
             lo,
             hi,
-            mean: sum / data.len() as f64,
-            count: data.len(),
+            mean: sum / count as f64,
+            count,
         })
     }
 
@@ -412,5 +430,23 @@ mod tests {
         log.record_host_write("A", WriteStats::of(&[]));
         log.record_host_write("ghost", WriteStats::of(&[9.0]));
         assert_eq!(log.object("A").unwrap().host_written.unwrap().count, 4);
+    }
+
+    #[test]
+    fn typed_write_stats_match_the_widened_fold_bit_for_bit() {
+        let xs: Vec<f64> = (0..1000)
+            .map(|i| f64::from(i).sin() * 1e3 + 0.1 * f64::from(i))
+            .chain([f64::NAN, -0.0, 7.5])
+            .collect();
+        for p in [Precision::Half, Precision::Single, Precision::Double] {
+            let data = FloatVec::from_f64_slice(&xs, p);
+            let typed = WriteStats::of_array(&data).unwrap();
+            let widened = WriteStats::of(&data.to_f64_vec()).unwrap();
+            assert_eq!(typed.lo.to_bits(), widened.lo.to_bits(), "{p}");
+            assert_eq!(typed.hi.to_bits(), widened.hi.to_bits(), "{p}");
+            assert_eq!(typed.mean.to_bits(), widened.mean.to_bits(), "{p}");
+            assert_eq!(typed.count, widened.count, "{p}");
+        }
+        assert!(WriteStats::of_array(&FloatVec::zeros(0, Precision::Half)).is_none());
     }
 }

@@ -164,6 +164,8 @@ pub struct Session {
     /// Real worker-thread budget for data-parallel kernel execution and
     /// precision conversion (1 = strictly sequential).
     exec_threads: usize,
+    /// Bytes of buffer data the transfers have allocated so far.
+    copied_bytes: u64,
 }
 
 impl Session {
@@ -182,6 +184,7 @@ impl Session {
             retry: RetryPolicy::default(),
             scratch: VmScratch::new(),
             exec_threads: default_exec_threads(),
+            copied_bytes: 0,
         }
     }
 
@@ -210,6 +213,16 @@ impl Session {
     #[must_use]
     pub fn exec_threads(&self) -> usize {
         self.exec_threads
+    }
+
+    /// Bytes of buffer data this session's transfers have allocated: each
+    /// write's device copy, each read's host copy, and the intermediate
+    /// of a transient plan. Deterministic — a function of the spec and
+    /// the transfer sizes, never of the thread budget. `create_buffer`'s
+    /// zero fill is not counted.
+    #[must_use]
+    pub fn copied_bytes(&self) -> u64 {
+        self.copied_bytes
     }
 
     /// The active retry policy.
@@ -417,13 +430,14 @@ impl Session {
         self.maybe_corrupt(&mut data);
         let wire_bytes = host.len() * plan.intermediate.size_bytes();
         let elems = host.len();
+        self.copied_bytes += plan.allocated_bytes(elems);
         self.buffers[id.0].data = data;
         self.log
             .record_transfer(&label, Direction::HtoD, elems, wire_bytes, cost);
         // Host-side value statistics seed the static range analysis;
         // taken from the *uncorrupted* host data at declared precision.
         self.log
-            .record_host_write(&label, WriteStats::of(&host.to_f64_vec()));
+            .record_host_write(&label, WriteStats::of_array(host));
         Ok(())
     }
 
@@ -467,6 +481,7 @@ impl Session {
         self.maybe_corrupt(&mut out);
         let wire_bytes = buf.data.len() * plan.intermediate.size_bytes();
         let elems = buf.data.len();
+        self.copied_bytes += plan.allocated_bytes(elems);
         self.log
             .record_transfer(&label, Direction::DtoH, elems, wire_bytes, cost);
         Ok(out)
@@ -1162,5 +1177,48 @@ mod tests {
         assert_eq!(dev.precision(), Precision::Single);
         // The value carries binary16 rounding even though storage is f32.
         assert_ne!(dev.get(0), f64::from(0.1f32));
+    }
+
+    #[test]
+    fn each_transfer_allocates_exactly_one_copy() {
+        let n = 1000usize;
+        let host = FloatVec::from_f64_slice(&vec![0.25; n], Precision::Double);
+        // Bytes copied by one write of `X` and one read of `X` under `spec`.
+        let copies = |spec: ScalingSpec| {
+            let mut s = Session::new(SystemModel::system1(), vec_scale_program(), spec);
+            let x = s.create_buffer("X", n, Precision::Double).unwrap();
+            assert_eq!(s.copied_bytes(), 0, "the zero fill is not a copy");
+            s.enqueue_write(x, &host).unwrap();
+            let write = s.copied_bytes();
+            s.enqueue_read(x).unwrap();
+            (write, s.copied_bytes() - write)
+        };
+        let f64s = 8 * n as u64;
+        let f32s = 4 * n as u64;
+        // Direct: one f64 device copy, one f64 read-back copy.
+        assert_eq!(copies(ScalingSpec::baseline()), (f64s, f64s));
+        // Host-scaled both ways: one f32 device copy, one f64 host copy.
+        assert_eq!(
+            copies(ScalingSpec::baseline().with_target("X", Precision::Single)),
+            (f32s, f64s)
+        );
+        // Device-scaled write: the f64 wire data lands as one f32 copy.
+        let device = PlanChoice {
+            intermediate: Precision::Double,
+            host_method: HostMethod::Loop,
+        };
+        let spec = ScalingSpec::baseline()
+            .with_target("X", Precision::Single)
+            .with_write_plan("X", device);
+        assert_eq!(copies(spec).0, f32s);
+        // Only a transient plan stages its wire type as well.
+        let transient = PlanChoice {
+            intermediate: Precision::Half,
+            host_method: HostMethod::Loop,
+        };
+        let spec = ScalingSpec::baseline()
+            .with_target("X", Precision::Single)
+            .with_write_plan("X", transient);
+        assert_eq!(copies(spec).0, 2 * n as u64 + f32s);
     }
 }

@@ -1,6 +1,6 @@
 //! Matrix-multiplication family: GEMM, 2MM, 3MM, SYRK, SYR2K.
 
-use crate::input::InputGen;
+use crate::bench::PolyApp;
 use crate::spec::Dims;
 use prescaler_ir::dsl::*;
 use prescaler_ir::{Access, Expr, Precision, Program};
@@ -92,14 +92,14 @@ pub(crate) fn gemm_program() -> Program {
     )
 }
 
-pub(crate) fn gemm_run(s: &mut Session, d: &Dims, gen: &InputGen) -> Result<Outputs, OclError> {
+pub(crate) fn gemm_run(s: &mut Session, d: &Dims, app: &PolyApp) -> Result<Outputs, OclError> {
     let (ni, nj, nk) = (d.ni, d.nj, d.nk);
     let a = s.create_buffer("A", ni * nk, Precision::Double)?;
     let b = s.create_buffer("B", nk * nj, Precision::Double)?;
     let c = s.create_buffer("C", ni * nj, Precision::Double)?;
-    s.enqueue_write(a, &gen.array("A", ni * nk))?;
-    s.enqueue_write(b, &gen.array("B", nk * nj))?;
-    s.enqueue_write(c, &gen.array("C", ni * nj))?;
+    s.enqueue_write(a, &app.input("A", ni * nk))?;
+    s.enqueue_write(b, &app.input("B", nk * nj))?;
+    s.enqueue_write(c, &app.input("C", ni * nj))?;
     s.launch_kernel(
         "gemm",
         [nj, ni],
@@ -127,16 +127,16 @@ pub(crate) fn twomm_program() -> Program {
         .with_kernel(matmul_kernel("mm2_k2", "c", "d", "e"))
 }
 
-pub(crate) fn twomm_run(s: &mut Session, d: &Dims, gen: &InputGen) -> Result<Outputs, OclError> {
+pub(crate) fn twomm_run(s: &mut Session, d: &Dims, app: &PolyApp) -> Result<Outputs, OclError> {
     let n = d.ni;
     let a = s.create_buffer("A", n * n, Precision::Double)?;
     let b = s.create_buffer("B", n * n, Precision::Double)?;
     let c = s.create_buffer("C", n * n, Precision::Double)?;
     let dd = s.create_buffer("D", n * n, Precision::Double)?;
     let e = s.create_buffer("E", n * n, Precision::Double)?;
-    s.enqueue_write(a, &gen.array("A", n * n))?;
-    s.enqueue_write(b, &gen.array("B", n * n))?;
-    s.enqueue_write(dd, &gen.array("D", n * n))?;
+    s.enqueue_write(a, &app.input("A", n * n))?;
+    s.enqueue_write(b, &app.input("B", n * n))?;
+    s.enqueue_write(dd, &app.input("D", n * n))?;
     let nn = KernelArg::Int(n as i64);
     s.launch_kernel(
         "mm2_k1",
@@ -172,7 +172,7 @@ pub(crate) fn threemm_program() -> Program {
         .with_kernel(matmul_kernel("mm3_k3", "e", "f", "g"))
 }
 
-pub(crate) fn threemm_run(s: &mut Session, d: &Dims, gen: &InputGen) -> Result<Outputs, OclError> {
+pub(crate) fn threemm_run(s: &mut Session, d: &Dims, app: &PolyApp) -> Result<Outputs, OclError> {
     let n = d.ni;
     let a = s.create_buffer("A", n * n, Precision::Double)?;
     let b = s.create_buffer("B", n * n, Precision::Double)?;
@@ -182,7 +182,7 @@ pub(crate) fn threemm_run(s: &mut Session, d: &Dims, gen: &InputGen) -> Result<O
     let f = s.create_buffer("F", n * n, Precision::Double)?;
     let g = s.create_buffer("G", n * n, Precision::Double)?;
     for (id, tag) in [(a, "A"), (b, "B"), (c, "C"), (dd, "D")] {
-        s.enqueue_write(id, &gen.array(tag, n * n))?;
+        s.enqueue_write(id, &app.input(tag, n * n))?;
     }
     let nn = KernelArg::Int(n as i64);
     s.launch_kernel(
@@ -263,12 +263,12 @@ pub(crate) fn syrk_program() -> Program {
     )
 }
 
-pub(crate) fn syrk_run(s: &mut Session, d: &Dims, gen: &InputGen) -> Result<Outputs, OclError> {
+pub(crate) fn syrk_run(s: &mut Session, d: &Dims, app: &PolyApp) -> Result<Outputs, OclError> {
     let (n, m) = (d.ni, d.nj);
     let a = s.create_buffer("A", n * m, Precision::Double)?;
     let c = s.create_buffer("C", n * n, Precision::Double)?;
-    s.enqueue_write(a, &gen.array("A", n * m))?;
-    s.enqueue_write(c, &gen.array("C", n * n))?;
+    s.enqueue_write(a, &app.input("A", n * m))?;
+    s.enqueue_write(c, &app.input("C", n * n))?;
     s.launch_kernel(
         "syrk",
         [n, n],
@@ -332,14 +332,14 @@ pub(crate) fn syr2k_program() -> Program {
     )
 }
 
-pub(crate) fn syr2k_run(s: &mut Session, d: &Dims, gen: &InputGen) -> Result<Outputs, OclError> {
+pub(crate) fn syr2k_run(s: &mut Session, d: &Dims, app: &PolyApp) -> Result<Outputs, OclError> {
     let (n, m) = (d.ni, d.nj);
     let a = s.create_buffer("A", n * m, Precision::Double)?;
     let b = s.create_buffer("B", n * m, Precision::Double)?;
     let c = s.create_buffer("C", n * n, Precision::Double)?;
-    s.enqueue_write(a, &gen.array("A", n * m))?;
-    s.enqueue_write(b, &gen.array("B", n * m))?;
-    s.enqueue_write(c, &gen.array("C", n * n))?;
+    s.enqueue_write(a, &app.input("A", n * m))?;
+    s.enqueue_write(b, &app.input("B", n * m))?;
+    s.enqueue_write(c, &app.input("C", n * n))?;
     s.launch_kernel(
         "syr2k",
         [n, n],

@@ -2,7 +2,7 @@
 //! matrix) — compute-intensive with triangular kernels.
 
 use crate::apps::linalg::idx2;
-use crate::input::InputGen;
+use crate::bench::PolyApp;
 use crate::spec::Dims;
 use prescaler_ir::dsl::*;
 use prescaler_ir::{Access, Precision, Program};
@@ -154,13 +154,13 @@ pub(crate) fn corr_program() -> Program {
         .with_kernel(compute_kernel)
 }
 
-pub(crate) fn corr_run(s: &mut Session, d: &Dims, gen: &InputGen) -> Result<Outputs, OclError> {
+pub(crate) fn corr_run(s: &mut Session, d: &Dims, app: &PolyApp) -> Result<Outputs, OclError> {
     let (m, n) = (d.ni, d.nj);
     let data = s.create_buffer("DATA", n * m, Precision::Double)?;
     let mean = s.create_buffer("MEAN", m, Precision::Double)?;
     let stddev = s.create_buffer("STD", m, Precision::Double)?;
     let symmat = s.create_buffer("SYMMAT", m * m, Precision::Double)?;
-    s.enqueue_write(data, &gen.array("DATA", n * m))?;
+    s.enqueue_write(data, &app.input("DATA", n * m))?;
     let float_n = KernelArg::Float(n as f64);
     let mm = KernelArg::Int(m as i64);
     let nn = KernelArg::Int(n as i64);
@@ -277,12 +277,12 @@ pub(crate) fn covar_program() -> Program {
         .with_kernel(compute_kernel)
 }
 
-pub(crate) fn covar_run(s: &mut Session, d: &Dims, gen: &InputGen) -> Result<Outputs, OclError> {
+pub(crate) fn covar_run(s: &mut Session, d: &Dims, app: &PolyApp) -> Result<Outputs, OclError> {
     let (m, n) = (d.ni, d.nj);
     let data = s.create_buffer("DATA", n * m, Precision::Double)?;
     let mean = s.create_buffer("MEAN", m, Precision::Double)?;
     let symmat = s.create_buffer("SYMMAT", m * m, Precision::Double)?;
-    s.enqueue_write(data, &gen.array("DATA", n * m))?;
+    s.enqueue_write(data, &app.input("DATA", n * m))?;
     let mm = KernelArg::Int(m as i64);
     let nn = KernelArg::Int(n as i64);
     s.launch_kernel(

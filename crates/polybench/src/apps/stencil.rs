@@ -1,7 +1,7 @@
 //! Stencil family: 2DCONV, 3DCONV, FDTD-2D.
 
 use crate::apps::linalg::idx2;
-use crate::input::InputGen;
+use crate::bench::PolyApp;
 use crate::spec::Dims;
 use prescaler_ir::dsl::*;
 use prescaler_ir::{Access, Expr, Precision, Program};
@@ -54,11 +54,11 @@ pub(crate) fn twodconv_program() -> Program {
     )
 }
 
-pub(crate) fn twodconv_run(s: &mut Session, d: &Dims, gen: &InputGen) -> Result<Outputs, OclError> {
+pub(crate) fn twodconv_run(s: &mut Session, d: &Dims, app: &PolyApp) -> Result<Outputs, OclError> {
     let (ni, nj) = (d.ni, d.nj);
     let a = s.create_buffer("A", ni * nj, Precision::Double)?;
     let b = s.create_buffer("B", ni * nj, Precision::Double)?;
-    s.enqueue_write(a, &gen.array("A", ni * nj))?;
+    s.enqueue_write(a, &app.input("A", ni * nj))?;
     s.launch_kernel(
         "conv2d",
         [nj, ni],
@@ -135,13 +135,13 @@ pub(crate) fn threedconv_program() -> Program {
 pub(crate) fn threedconv_run(
     s: &mut Session,
     d: &Dims,
-    gen: &InputGen,
+    app: &PolyApp,
 ) -> Result<Outputs, OclError> {
     let (ni, nj, nk) = (d.ni, d.nj, d.nk);
     let len = ni * nj * nk;
     let a = s.create_buffer("A", len, Precision::Double)?;
     let b = s.create_buffer("B", len, Precision::Double)?;
-    s.enqueue_write(a, &gen.array("A", len))?;
+    s.enqueue_write(a, &app.input("A", len))?;
     s.launch_kernel(
         "conv3d",
         [nk, nj],
@@ -255,16 +255,16 @@ pub(crate) fn fdtd2d_program() -> Program {
         .with_kernel(hz_kernel)
 }
 
-pub(crate) fn fdtd2d_run(s: &mut Session, d: &Dims, gen: &InputGen) -> Result<Outputs, OclError> {
+pub(crate) fn fdtd2d_run(s: &mut Session, d: &Dims, app: &PolyApp) -> Result<Outputs, OclError> {
     let (ni, nj, tmax) = (d.ni, d.nj, d.tmax.max(1));
     let fict = s.create_buffer("FICT", tmax, Precision::Double)?;
     let ex = s.create_buffer("EX", ni * (nj + 1), Precision::Double)?;
     let ey = s.create_buffer("EY", (ni + 1) * nj, Precision::Double)?;
     let hz = s.create_buffer("HZ", ni * nj, Precision::Double)?;
-    s.enqueue_write(fict, &gen.array("FICT", tmax))?;
-    s.enqueue_write(ex, &gen.array("EX", ni * (nj + 1)))?;
-    s.enqueue_write(ey, &gen.array("EY", (ni + 1) * nj))?;
-    s.enqueue_write(hz, &gen.array("HZ", ni * nj))?;
+    s.enqueue_write(fict, &app.input("FICT", tmax))?;
+    s.enqueue_write(ex, &app.input("EX", ni * (nj + 1)))?;
+    s.enqueue_write(ey, &app.input("EY", (ni + 1) * nj))?;
+    s.enqueue_write(hz, &app.input("HZ", ni * nj))?;
     for t in 0..tmax {
         s.launch_kernel(
             "fdtd_ey",

@@ -2,7 +2,7 @@
 //! half of the suite (O(N²) data, O(N²) work).
 
 use crate::apps::linalg::idx2;
-use crate::input::InputGen;
+use crate::bench::PolyApp;
 use crate::spec::Dims;
 use prescaler_ir::dsl::*;
 use prescaler_ir::{Access, Kernel, Precision, Program};
@@ -49,14 +49,14 @@ pub(crate) fn atax_program() -> Program {
         .with_kernel(matvec_kernel("atax_k2", "a", "tmp", "y", true))
 }
 
-pub(crate) fn atax_run(s: &mut Session, d: &Dims, gen: &InputGen) -> Result<Outputs, OclError> {
+pub(crate) fn atax_run(s: &mut Session, d: &Dims, app: &PolyApp) -> Result<Outputs, OclError> {
     let n = d.ni;
     let a = s.create_buffer("A", n * n, Precision::Double)?;
     let x = s.create_buffer("X", n, Precision::Double)?;
     let tmp = s.create_buffer("TMP", n, Precision::Double)?;
     let y = s.create_buffer("Y", n, Precision::Double)?;
-    s.enqueue_write(a, &gen.array("A", n * n))?;
-    s.enqueue_write(x, &gen.array("X", n))?;
+    s.enqueue_write(a, &app.input("A", n * n))?;
+    s.enqueue_write(x, &app.input("X", n))?;
     let nn = KernelArg::Int(n as i64);
     s.launch_kernel(
         "atax_k1",
@@ -91,16 +91,16 @@ pub(crate) fn bicg_program() -> Program {
         .with_kernel(matvec_kernel("bicg_k2", "a", "r", "s", true))
 }
 
-pub(crate) fn bicg_run(s: &mut Session, d: &Dims, gen: &InputGen) -> Result<Outputs, OclError> {
+pub(crate) fn bicg_run(s: &mut Session, d: &Dims, app: &PolyApp) -> Result<Outputs, OclError> {
     let n = d.ni;
     let a = s.create_buffer("A", n * n, Precision::Double)?;
     let p = s.create_buffer("P", n, Precision::Double)?;
     let r = s.create_buffer("R", n, Precision::Double)?;
     let q = s.create_buffer("Q", n, Precision::Double)?;
     let sv = s.create_buffer("S", n, Precision::Double)?;
-    s.enqueue_write(a, &gen.array("A", n * n))?;
-    s.enqueue_write(p, &gen.array("P", n))?;
-    s.enqueue_write(r, &gen.array("R", n))?;
+    s.enqueue_write(a, &app.input("A", n * n))?;
+    s.enqueue_write(p, &app.input("P", n))?;
+    s.enqueue_write(r, &app.input("R", n))?;
     let nn = KernelArg::Int(n as i64);
     s.launch_kernel(
         "bicg_k1",
@@ -167,18 +167,18 @@ pub(crate) fn mvt_program() -> Program {
         .with_kernel(mvt_kernel("mvt_k2", "x2", "y2", true))
 }
 
-pub(crate) fn mvt_run(s: &mut Session, d: &Dims, gen: &InputGen) -> Result<Outputs, OclError> {
+pub(crate) fn mvt_run(s: &mut Session, d: &Dims, app: &PolyApp) -> Result<Outputs, OclError> {
     let n = d.ni;
     let a = s.create_buffer("A", n * n, Precision::Double)?;
     let x1 = s.create_buffer("X1", n, Precision::Double)?;
     let x2 = s.create_buffer("X2", n, Precision::Double)?;
     let y1 = s.create_buffer("Y1", n, Precision::Double)?;
     let y2 = s.create_buffer("Y2", n, Precision::Double)?;
-    s.enqueue_write(a, &gen.array("A", n * n))?;
-    s.enqueue_write(x1, &gen.array("X1", n))?;
-    s.enqueue_write(x2, &gen.array("X2", n))?;
-    s.enqueue_write(y1, &gen.array("Y1", n))?;
-    s.enqueue_write(y2, &gen.array("Y2", n))?;
+    s.enqueue_write(a, &app.input("A", n * n))?;
+    s.enqueue_write(x1, &app.input("X1", n))?;
+    s.enqueue_write(x2, &app.input("X2", n))?;
+    s.enqueue_write(y1, &app.input("Y1", n))?;
+    s.enqueue_write(y2, &app.input("Y2", n))?;
     let nn = KernelArg::Int(n as i64);
     s.launch_kernel(
         "mvt_k1",
@@ -257,16 +257,16 @@ pub(crate) fn gesummv_program() -> Program {
     )
 }
 
-pub(crate) fn gesummv_run(s: &mut Session, d: &Dims, gen: &InputGen) -> Result<Outputs, OclError> {
+pub(crate) fn gesummv_run(s: &mut Session, d: &Dims, app: &PolyApp) -> Result<Outputs, OclError> {
     let n = d.ni;
     let a = s.create_buffer("A", n * n, Precision::Double)?;
     let b = s.create_buffer("B", n * n, Precision::Double)?;
     let x = s.create_buffer("X", n, Precision::Double)?;
     let y = s.create_buffer("Y", n, Precision::Double)?;
     let tmp = s.create_buffer("TMP", n, Precision::Double)?;
-    s.enqueue_write(a, &gen.array("A", n * n))?;
-    s.enqueue_write(b, &gen.array("B", n * n))?;
-    s.enqueue_write(x, &gen.array("X", n))?;
+    s.enqueue_write(a, &app.input("A", n * n))?;
+    s.enqueue_write(b, &app.input("B", n * n))?;
+    s.enqueue_write(x, &app.input("X", n))?;
     s.launch_kernel(
         "gesummv",
         [n, 1],

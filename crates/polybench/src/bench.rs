@@ -2,12 +2,20 @@
 //! [`HostApp`].
 
 use crate::apps::{linalg, stats, stencil, vector};
-use crate::input::{InputGen, InputSet};
+use crate::input::{fnv1a, InputGen, InputSet, FNV_OFFSET};
 use crate::spec::{BenchKind, Dims};
-use prescaler_ir::Program;
+use prescaler_ir::{FloatVec, Program};
 use prescaler_ocl::{HostApp, OclError, Outputs, Session};
+use std::collections::HashMap;
+use std::fmt;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// One configured benchmark instance: kind, dimensions, input set, seed.
+///
+/// Every input array is generated once per instance, on first use, and
+/// shared by every later run. Clones share that cache;
+/// [`PolyApp::with_input`] and [`PolyApp::with_input_gain`] give the copy
+/// a fresh one.
 #[derive(Clone, Debug)]
 pub struct PolyApp {
     kind: BenchKind,
@@ -15,6 +23,35 @@ pub struct PolyApp {
     input: InputSet,
     seed: u64,
     gain: f64,
+    inputs: Arc<InputCache>,
+}
+
+/// Generated input arrays, keyed by everything their bits depend on.
+/// Thread-safe: speculative workers run one shared instance.
+#[derive(Default)]
+struct InputCache(Mutex<HashMap<InputKey, Arc<FloatVec>>>);
+
+impl InputCache {
+    fn arrays(&self) -> MutexGuard<'_, HashMap<InputKey, Arc<FloatVec>>> {
+        self.0.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
+impl fmt::Debug for InputCache {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "InputCache {{ arrays: {} }}", self.arrays().len())
+    }
+}
+
+#[derive(Clone, PartialEq, Eq, Hash)]
+struct InputKey {
+    kind: BenchKind,
+    dims: Dims,
+    input: InputSet,
+    seed: u64,
+    gain_bits: u64,
+    tag: String,
+    len: usize,
 }
 
 impl PolyApp {
@@ -27,6 +64,7 @@ impl PolyApp {
             input,
             seed,
             gain: 1.0,
+            inputs: Arc::default(),
         }
     }
 
@@ -70,6 +108,7 @@ impl PolyApp {
     #[must_use]
     pub fn with_input(mut self, input: InputSet) -> PolyApp {
         self.input = input;
+        self.inputs = Arc::default();
         self
     }
 
@@ -79,6 +118,7 @@ impl PolyApp {
     #[must_use]
     pub fn with_input_gain(mut self, gain: f64) -> PolyApp {
         self.gain = gain;
+        self.inputs = Arc::default();
         self
     }
 
@@ -86,6 +126,35 @@ impl PolyApp {
     #[must_use]
     pub fn input_gain(&self) -> f64 {
         self.gain
+    }
+
+    /// The named `len`-element input array, generated on first use and
+    /// shared afterwards: bit-identical to a fresh [`InputGen::array`]
+    /// for this instance's input set, seed and gain.
+    #[must_use]
+    pub(crate) fn input(&self, tag: &str, len: usize) -> Arc<FloatVec> {
+        let key = InputKey {
+            kind: self.kind,
+            dims: self.dims,
+            input: self.input,
+            seed: self.seed,
+            gain_bits: self.gain.to_bits(),
+            tag: tag.to_owned(),
+            len,
+        };
+        Arc::clone(
+            self.inputs
+                .arrays()
+                .entry(key)
+                .or_insert_with(|| Arc::new(self.gen().array(tag, len))),
+        )
+    }
+
+    /// How many input arrays this instance's cache has generated (shared
+    /// with its plain clones).
+    #[cfg(test)]
+    fn inputs_generated(&self) -> usize {
+        self.inputs.arrays().len()
     }
 
     fn gen(&self) -> InputGen {
@@ -96,6 +165,18 @@ impl PolyApp {
 impl HostApp for PolyApp {
     fn name(&self) -> &str {
         self.kind.name()
+    }
+
+    fn identity(&self) -> u64 {
+        let mut h = fnv1a(FNV_OFFSET, self.kind.name().as_bytes());
+        h = fnv1a(h, &[0]);
+        h = fnv1a(h, self.input.label().as_bytes());
+        let d = &self.dims;
+        for word in [d.ni, d.nj, d.nk, d.tmax] {
+            h = fnv1a(h, &(word as u64).to_le_bytes());
+        }
+        h = fnv1a(h, &self.seed.to_le_bytes());
+        fnv1a(h, &self.gain.to_bits().to_le_bytes())
     }
 
     fn program(&self) -> Program {
@@ -118,23 +199,22 @@ impl HostApp for PolyApp {
     }
 
     fn run(&self, session: &mut Session) -> Result<Outputs, OclError> {
-        let gen = self.gen();
         let d = &self.dims;
         match self.kind {
-            BenchKind::Gemm => linalg::gemm_run(session, d, &gen),
-            BenchKind::TwoMM => linalg::twomm_run(session, d, &gen),
-            BenchKind::ThreeMM => linalg::threemm_run(session, d, &gen),
-            BenchKind::Syrk => linalg::syrk_run(session, d, &gen),
-            BenchKind::Syr2k => linalg::syr2k_run(session, d, &gen),
-            BenchKind::Atax => vector::atax_run(session, d, &gen),
-            BenchKind::Bicg => vector::bicg_run(session, d, &gen),
-            BenchKind::Mvt => vector::mvt_run(session, d, &gen),
-            BenchKind::Gesummv => vector::gesummv_run(session, d, &gen),
-            BenchKind::TwoDConv => stencil::twodconv_run(session, d, &gen),
-            BenchKind::ThreeDConv => stencil::threedconv_run(session, d, &gen),
-            BenchKind::Fdtd2d => stencil::fdtd2d_run(session, d, &gen),
-            BenchKind::Corr => stats::corr_run(session, d, &gen),
-            BenchKind::Covar => stats::covar_run(session, d, &gen),
+            BenchKind::Gemm => linalg::gemm_run(session, d, self),
+            BenchKind::TwoMM => linalg::twomm_run(session, d, self),
+            BenchKind::ThreeMM => linalg::threemm_run(session, d, self),
+            BenchKind::Syrk => linalg::syrk_run(session, d, self),
+            BenchKind::Syr2k => linalg::syr2k_run(session, d, self),
+            BenchKind::Atax => vector::atax_run(session, d, self),
+            BenchKind::Bicg => vector::bicg_run(session, d, self),
+            BenchKind::Mvt => vector::mvt_run(session, d, self),
+            BenchKind::Gesummv => vector::gesummv_run(session, d, self),
+            BenchKind::TwoDConv => stencil::twodconv_run(session, d, self),
+            BenchKind::ThreeDConv => stencil::threedconv_run(session, d, self),
+            BenchKind::Fdtd2d => stencil::fdtd2d_run(session, d, self),
+            BenchKind::Corr => stats::corr_run(session, d, self),
+            BenchKind::Covar => stats::covar_run(session, d, self),
         }
     }
 }
@@ -268,6 +348,111 @@ mod tests {
         let (b, lb) = run_app(&drifted, &system, &ScalingSpec::baseline()).unwrap();
         assert_eq!(a, b, "gain 1.0 must be bit-identical");
         assert_eq!(la.timeline.total(), lb.timeline.total());
+    }
+
+    fn bits(data: &FloatVec) -> Vec<u64> {
+        data.iter_f64().map(f64::to_bits).collect()
+    }
+
+    #[test]
+    fn a_second_run_does_not_regenerate_inputs() {
+        let system = SystemModel::system1();
+        let app = PolyApp::tiny(BenchKind::Gemm);
+        assert_eq!(app.inputs_generated(), 0);
+        let (first, _) = run_app(&app, &system, &ScalingSpec::baseline()).unwrap();
+        assert_eq!(app.inputs_generated(), 3, "A, B and C");
+        let d = *app.dims();
+        let a = app.input("A", d.ni * d.nk);
+        let (second, _) = run_app(&app, &system, &ScalingSpec::baseline()).unwrap();
+        assert_eq!(app.inputs_generated(), 3, "the second run generated again");
+        assert!(Arc::ptr_eq(&a, &app.input("A", d.ni * d.nk)));
+        assert_eq!(first, second);
+        // A plain clone shares the cache; the cached bits are the generator's.
+        assert_eq!(app.clone().inputs_generated(), 3);
+        assert_eq!(bits(&a), bits(&app.gen().array("A", d.ni * d.nk)));
+    }
+
+    #[test]
+    fn reconfigured_copies_never_see_the_originals_inputs() {
+        let system = SystemModel::system1();
+        let app = PolyApp::new(BenchKind::Gemm, Dims::square(16), InputSet::Random, 7);
+        let fresh = || PolyApp::new(BenchKind::Gemm, Dims::square(16), InputSet::Random, 7);
+        let (original, _) = run_app(&app, &system, &ScalingSpec::baseline()).unwrap();
+        let original_a = bits(&app.input("A", 256));
+        let variants = [
+            (
+                app.clone().with_input_gain(256.0),
+                fresh().with_input_gain(256.0),
+            ),
+            (
+                app.clone().with_input(InputSet::Default),
+                fresh().with_input(InputSet::Default),
+            ),
+        ];
+        for (copy, reference) in variants {
+            assert_eq!(
+                copy.inputs_generated(),
+                0,
+                "a reconfigured copy starts empty"
+            );
+            assert_eq!(
+                bits(&copy.input("A", 256)),
+                bits(&reference.input("A", 256))
+            );
+            assert_ne!(bits(&copy.input("A", 256)), original_a);
+            let (a, la) = run_app(&copy, &system, &ScalingSpec::baseline()).unwrap();
+            let (b, lb) = run_app(&reference, &system, &ScalingSpec::baseline()).unwrap();
+            assert_eq!(a, b);
+            assert_ne!(a, original);
+            assert_eq!(la.timeline, lb.timeline);
+        }
+        // Gain 1.0 stays an exact no-op: the same bits as the original.
+        let unit = app.clone().with_input_gain(1.0);
+        assert_eq!(bits(&unit.input("A", 256)), original_a);
+        assert_eq!(unit.identity(), app.identity());
+    }
+
+    #[test]
+    fn threads_sharing_one_instance_get_bit_identical_outputs() {
+        let system = SystemModel::system1();
+        let spec = ScalingSpec::baseline().with_target("A", Precision::Half);
+        let shared = PolyApp::scaled(BenchKind::Atax, InputSet::Image, 0.05);
+        let outputs: Vec<_> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..2)
+                .map(|_| scope.spawn(|| run_app(&shared, &system, &spec).unwrap()))
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        let fresh = PolyApp::scaled(BenchKind::Atax, InputSet::Image, 0.05);
+        let (reference, log) = run_app(&fresh, &system, &spec).unwrap();
+        assert_eq!(shared.inputs_generated(), 2, "A and X, once each");
+        for (outs, l) in &outputs {
+            assert_eq!(outs.len(), reference.len());
+            for ((_, got), (_, want)) in outs.iter().zip(&reference) {
+                assert_eq!(bits(got), bits(want));
+            }
+            assert_eq!(l.timeline, log.timeline);
+        }
+    }
+
+    #[test]
+    fn identity_covers_every_configuration_field() {
+        let base = PolyApp::new(BenchKind::Gemm, Dims::square(16), InputSet::Random, 7);
+        let same = PolyApp::new(BenchKind::Gemm, Dims::square(16), InputSet::Random, 7);
+        assert_eq!(base.identity(), same.identity());
+        let mut tmax = Dims::square(16);
+        tmax.tmax = 1;
+        let others = [
+            PolyApp::new(BenchKind::Syrk, Dims::square(16), InputSet::Random, 7),
+            PolyApp::new(BenchKind::Gemm, Dims::square(17), InputSet::Random, 7),
+            PolyApp::new(BenchKind::Gemm, tmax, InputSet::Random, 7),
+            PolyApp::new(BenchKind::Gemm, Dims::square(16), InputSet::Image, 7),
+            PolyApp::new(BenchKind::Gemm, Dims::square(16), InputSet::Random, 8),
+            base.clone().with_input_gain(2.0),
+        ];
+        for other in &others {
+            assert_ne!(other.identity(), base.identity(), "{other:?}");
+        }
     }
 
     #[test]

@@ -122,18 +122,25 @@ impl InputGen {
                 *v *= self.gain;
             }
         }
-        prescaler_ir::FloatVec::from_f64_slice(&values, prescaler_ir::Precision::Double)
+        prescaler_ir::FloatVec::F64(values)
     }
 }
 
-/// FNV-1a mix of a tag into a seed.
-fn mix_seed(seed: u64, tag: &str) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64 ^ seed;
-    for b in tag.bytes() {
+/// FNV-1a offset basis.
+pub(crate) const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// FNV-1a over `bytes`, continuing from state `h`.
+pub(crate) fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
+    for &b in bytes {
         h ^= u64::from(b);
         h = h.wrapping_mul(0x0000_0100_0000_01B3);
     }
     h
+}
+
+/// FNV-1a mix of a tag into a seed.
+fn mix_seed(seed: u64, tag: &str) -> u64 {
+    fnv1a(FNV_OFFSET ^ seed, tag.as_bytes())
 }
 
 #[cfg(test)]

@@ -199,7 +199,7 @@ impl fmt::Display for BenchKind {
 /// Problem dimensions. Interpretation is per-benchmark: matrix benchmarks
 /// use `ni`/`nj`/`nk` as their standard Polybench sizes, FDTD adds the
 /// time-step count.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct Dims {
     /// First dimension.
     pub ni: usize,

@@ -311,6 +311,11 @@ impl TransferPlan {
     /// own execution budget allows. Conversion is element-wise, so the
     /// result is bit-identical at any thread count.
     ///
+    /// A leg whose endpoints share a precision is the identity and is
+    /// skipped, so every non-transient plan allocates exactly one new
+    /// array; only a transient plan also allocates its intermediate (see
+    /// [`TransferPlan::allocated_bytes`]).
+    ///
     /// # Panics
     ///
     /// Panics if `data` is not `src`-typed.
@@ -321,9 +326,25 @@ impl TransferPlan {
             self.src,
             "transfer plan applied to data of the wrong precision"
         );
-        let mid = convert_parallel(data, self.intermediate, threads);
-        // The device leg (or host leg for DtoH) is elementwise too.
-        convert_parallel(&mid, self.dst, threads)
+        if self.is_transient() {
+            let mid = convert_parallel(data, self.intermediate, threads);
+            // The device leg (or host leg for DtoH) is elementwise too.
+            convert_parallel(&mid, self.dst, threads)
+        } else {
+            convert_parallel(data, self.dst, threads)
+        }
+    }
+
+    /// Bytes of array data [`TransferPlan::apply_with_threads`] allocates
+    /// for `elems` elements: the `dst`-typed result, plus the
+    /// intermediate of a transient plan.
+    #[must_use]
+    pub fn allocated_bytes(&self, elems: usize) -> u64 {
+        let mut bytes = elems * self.dst.size_bytes();
+        if self.is_transient() {
+            bytes += elems * self.intermediate.size_bytes();
+        }
+        bytes as u64
     }
 }
 
@@ -594,6 +615,28 @@ mod tests {
             let seq = data.converted(p);
             let par = convert_parallel(&data, p, 8);
             assert_eq!(seq, par, "threaded conversion must be bit-identical");
+        }
+    }
+
+    #[test]
+    fn skipped_identity_legs_keep_every_plan_bit_identical() {
+        let xs: Vec<f64> = (0..6000).map(|i| (i as f64).sin() * 70_000.0).collect();
+        let all = [Precision::Half, Precision::Single, Precision::Double];
+        for src in all {
+            let data = FloatVec::from_f64_slice(&xs, src);
+            for (mid, dst) in all.into_iter().flat_map(|m| all.map(|d| (m, d))) {
+                for direction in [Direction::HtoD, Direction::DtoH] {
+                    let plan = TransferPlan::transient(direction, src, mid, dst, HostMethod::Loop);
+                    let both_legs = data.converted(mid).converted(dst);
+                    for threads in [1, 3] {
+                        assert_eq!(
+                            plan.apply_with_threads(&data, threads),
+                            both_legs,
+                            "{src}->{mid}->{dst} at {threads} threads"
+                        );
+                    }
+                }
+            }
         }
     }
 

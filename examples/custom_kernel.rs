@@ -27,6 +27,12 @@ impl HostApp for Smoother {
         "smoother"
     }
 
+    fn identity(&self) -> u64 {
+        // The kernel and the initial field are fixed; only the field size
+        // and the step count configure a run.
+        ((self.n as u64) << 32) ^ self.steps as u64
+    }
+
     fn program(&self) -> Program {
         // out[i] = 0.25*in[i-1] + 0.5*in[i] + 0.25*in[i+1], edges kept.
         let k = kernel("smooth")

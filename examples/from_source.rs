@@ -50,6 +50,11 @@ impl HostApp for DotAndNorm {
         "dot-and-norm"
     }
 
+    fn identity(&self) -> u64 {
+        // The source and the input formulas are fixed; only `n` varies.
+        self.n as u64
+    }
+
     fn program(&self) -> Program {
         self.program.clone()
     }

@@ -52,14 +52,17 @@ cargo run --release --offline --bin prescaler-verify
 # admitted one. The static-analysis suite pins the prune-equivalence
 # guarantee — tuned decisions bit-identical with static pruning on and
 # off, trials strictly fewer where anything was pruned — per fault
-# universe.
+# universe. The host-data-path suite poisons every transfer of a shared
+# app instance and requires its next clean run to equal a fresh
+# instance's: corruption lands on the device copy, never on the cached
+# host input.
 for seed in 1 2 3; do
     PRESCALER_FAULT_SEED=$seed \
         cargo test -q --offline \
         --test guard_properties --test pipeline_properties \
         --test crash_resume_properties --test drift_properties \
         --test serve_properties --test parallel_exec_properties \
-        --test static_analysis_properties
+        --test static_analysis_properties --test host_data_path
 done
 
 # Data-parallel execution equivalence: the parallel-execution and

@@ -8,10 +8,11 @@
 //! universe, not just on the clean path.
 
 use prescaler_core::recovery::{tune_durable, tune_durable_with_crash, DurableReport};
-use prescaler_core::{PreScaler, SystemInspector, Tuned};
+use prescaler_core::{PreScaler, SystemInspector, TuneError, Tuned};
 use prescaler_faults::{CrashPoint, TearMode};
 use prescaler_ocl::HostApp;
-use prescaler_polybench::{BenchKind, PolyApp};
+use prescaler_persist::PersistError;
+use prescaler_polybench::{BenchKind, InputSet, PolyApp};
 use prescaler_sim::{FaultPlan, SystemModel};
 use std::path::PathBuf;
 
@@ -238,4 +239,39 @@ fn seeded_crash_points_resume_bit_identically() {
         std::fs::remove_file(&path).ok();
     }
     std::fs::remove_file(&ref_path).ok();
+}
+
+/// A journal is bound to the app's full configuration, not its name: a
+/// GEMM journal at other dims, inputs or gain is a foreign context and
+/// must be refused, never replayed into the tune.
+#[test]
+fn same_name_other_configuration_is_a_foreign_journal() {
+    let system = SystemModel::system1();
+    let db = SystemInspector::inspect(&system);
+    let tuner = PreScaler::new(&system, &db, 0.9);
+    let recorded = PolyApp::scaled(BenchKind::Gemm, InputSet::Random, 0.02);
+    let others = [
+        PolyApp::scaled(BenchKind::Gemm, InputSet::Default, 0.08),
+        PolyApp::scaled(BenchKind::Gemm, InputSet::Random, 0.08),
+        PolyApp::scaled(BenchKind::Gemm, InputSet::Default, 0.02),
+        recorded.clone().with_input_gain(4.0),
+    ];
+    for (i, other) in others.iter().enumerate() {
+        assert_eq!(other.name(), recorded.name());
+        let path = temp_journal(&format!("identity_{i}"));
+        std::fs::remove_file(&path).ok();
+        tune_durable(&tuner, &recorded, &path).expect("recording tune");
+        match tune_durable(&tuner, other, &path) {
+            Err(TuneError::Persist(PersistError::ContextMismatch { .. })) => {}
+            Err(e) => panic!("case {i}: expected a context mismatch, got {e}"),
+            Ok(r) => panic!(
+                "case {i}: replayed {} records of a foreign configuration",
+                r.replayed
+            ),
+        }
+        // The recorded configuration itself still resumes.
+        let resumed = tune_durable(&tuner, &recorded, &path).expect("same context resumes");
+        assert!(resumed.replayed > 0, "case {i}: nothing replayed");
+        std::fs::remove_file(&path).ok();
+    }
 }
