@@ -1,5 +1,5 @@
 //! Kernel-execution micro-benchmark: the VM per precision, sequential vs
-//! data-parallel.
+//! data-parallel, and against the reference interpreter.
 //!
 //! Times a gemm-class kernel (provably disjoint stores, the shape the
 //! disjoint-write analysis certifies) through `CompiledKernel` with every
@@ -10,7 +10,10 @@
 //! to `BENCH_kernel.json` at the repo root. `ns_per_iter` divides the
 //! sequential time by the n³ inner-loop iterations; `fused_loops` counts
 //! the reduction loops the VM runs as one instruction each (GEMM's inner
-//! loop is one). The speedup column is
+//! loop is one). `interp_us` times the tree-walking interpreter on the
+//! same launch (asserting the VM's output equals its output bit for bit),
+//! and `vm_speedup_vs_interp` is `interp_us / sequential_us`, the VM's
+//! reason to exist. The parallel speedup column is
 //! honest for the machine the benchmark ran on: `host_cores` records how
 //! much hardware parallelism was actually available, so a 1-core host
 //! reporting ~1.0x is expected, not a regression.
@@ -19,7 +22,7 @@
 //! [iterations]` (default 5; wall-time is the minimum over iterations).
 
 use prescaler_ir::dsl::*;
-use prescaler_ir::interp::{BufferMap, Launch};
+use prescaler_ir::interp::{run_kernel, BufferMap, Launch};
 use prescaler_ir::vm::{compile_kernel, CompiledKernel, ParallelSafety, VmScratch};
 use prescaler_ir::{Access, FloatVec, Kernel, Precision};
 use std::time::Instant;
@@ -58,8 +61,26 @@ fn gemm_kernel(n: i64, p: Precision) -> (Kernel, BufferMap, Launch) {
     (k, bufs, launch)
 }
 
-/// Minimum wall time in microseconds over `iters` runs at `threads`
-/// (1 = sequential), with the last run's buffers.
+/// Minimum wall time in microseconds of `run` over `iters` runs, each on
+/// a fresh copy of `bufs`, with the last run's buffers.
+fn time_min(
+    bufs: &BufferMap,
+    iters: usize,
+    mut run: impl FnMut(&mut BufferMap),
+) -> (f64, BufferMap) {
+    let mut best = f64::INFINITY;
+    let mut out = bufs.clone();
+    for _ in 0..iters {
+        let mut m = bufs.clone();
+        let t0 = Instant::now();
+        run(&mut m);
+        best = best.min(t0.elapsed().as_secs_f64() * 1e6);
+        out = m;
+    }
+    (best, out)
+}
+
+/// [`time_min`] of the VM at `threads` (1 = sequential).
 fn time_at(
     compiled: &CompiledKernel,
     bufs: &BufferMap,
@@ -68,22 +89,13 @@ fn time_at(
     threads: usize,
     iters: usize,
 ) -> (f64, BufferMap) {
-    let mut best = f64::INFINITY;
-    let mut out = bufs.clone();
-    for _ in 0..iters {
-        let mut m = bufs.clone();
-        let t0 = Instant::now();
+    time_min(bufs, iters, |m| {
         if threads <= 1 {
-            compiled.run_with_scratch(&mut m, launch, scratch).unwrap();
+            compiled.run_with_scratch(m, launch, scratch).unwrap();
         } else {
-            compiled
-                .run_parallel(&mut m, launch, scratch, threads)
-                .unwrap();
+            compiled.run_parallel(m, launch, scratch, threads).unwrap();
         }
-        best = best.min(t0.elapsed().as_secs_f64() * 1e6);
-        out = m;
-    }
-    (best, out)
+    })
 }
 
 fn main() {
@@ -117,6 +129,16 @@ fn main() {
         let ns_per_iter = seq_us * 1e3 / inner_iters;
         println!("gemm{N} {tag} sequential: {seq_us:.3} us ({ns_per_iter:.2} ns/iter)");
 
+        let (interp_us, interp_out) = time_min(&bufs, iters, |m| {
+            run_kernel(&k, m, &launch).unwrap();
+        });
+        assert!(
+            seq_out["c"] == interp_out["c"],
+            "{tag} VM output must be bit-identical to the interpreter's"
+        );
+        let vs_interp = interp_us / seq_us;
+        println!("gemm{N} {tag} interpreter: {interp_us:.3} us (VM {vs_interp:.1}x faster)");
+
         let mut parallel = Vec::new();
         for threads in [2usize, 4, 8] {
             let (par_us, par_out) =
@@ -132,7 +154,7 @@ fn main() {
             ));
         }
         rows.push(format!(
-            "    {{\n      \"precision\": \"{tag}\",\n      \"fused_loops\": {fused_loops},\n      \"sequential_us\": {seq_us:.3},\n      \"ns_per_iter\": {ns_per_iter:.3},\n      \"parallel\": [\n{}\n      ]\n    }}",
+            "    {{\n      \"precision\": \"{tag}\",\n      \"fused_loops\": {fused_loops},\n      \"sequential_us\": {seq_us:.3},\n      \"ns_per_iter\": {ns_per_iter:.3},\n      \"interp_us\": {interp_us:.3},\n      \"vm_speedup_vs_interp\": {vs_interp:.3},\n      \"parallel\": [\n{}\n      ]\n    }}",
             parallel.join(",\n")
         ));
     }

@@ -1,7 +1,7 @@
 //! Decision-search micro-benchmark with trial-engine accounting.
 //!
-//! Times the full tune pipeline on the same small GEMM the criterion
-//! `decision_search` bench uses, reports the trial engine's charged
+//! Times the full tune pipeline on a small GEMM (`tune_gemm_small`),
+//! reports the trial engine's charged
 //! trials and cache hit-rate for one tune, and writes everything to
 //! `BENCH_search.json` next to the repo root. The pre-trial-engine
 //! number is carried along as `before_us_other_host`: it was measured on
@@ -17,7 +17,7 @@ use prescaler_polybench::{BenchKind, InputSet, PolyApp};
 use prescaler_sim::SystemModel;
 use std::time::Instant;
 
-/// `search/tune_gemm_small` us/iter recorded by criterion at the commit
+/// `search/tune_gemm_small` us/iter recorded by a criterion bench at the commit
 /// before the trial engine + VM fast path landed (sample_size 10), on a
 /// different host than any later run: not comparable with `after_us`.
 const BEFORE_US_OTHER_HOST: f64 = 1_096_957.863;

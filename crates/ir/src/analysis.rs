@@ -10,11 +10,11 @@
 //! computes the verdict once at compile time and runs chunks on threads
 //! only when the resolved plan exists.
 
-use crate::ast::{Expr, Kernel, Param, Stmt};
+use crate::ast::{Expr, Kernel, Stmt};
 use crate::interp::{ArgValue, Launch};
+use crate::typeck::{assigned_slots, Resolved, Slot, SlotKind};
 use crate::types::ScalarType;
 use crate::value::{FloatBinOp, UnaryFn};
-use std::collections::{HashMap, HashSet};
 
 /// Verdict of the disjoint-write analysis: may a launch of this kernel be
 /// partitioned into NDRange chunks that execute concurrently?
@@ -186,7 +186,7 @@ struct BufSites {
 }
 
 /// Per-buffer access record accumulated by the walker.
-#[derive(Default)]
+#[derive(Clone, Default)]
 struct BufRecord {
     stored: bool,
     opaque_store: bool,
@@ -194,93 +194,17 @@ struct BufRecord {
     sites: Vec<AffineIdx>,
 }
 
-/// Variables assigned (not `let`-bound) anywhere in `stmts`, transitively.
-fn assigned_vars(stmts: &[Stmt], out: &mut HashSet<String>) {
-    for s in stmts {
-        match s {
-            Stmt::Assign { name, .. } => {
-                out.insert(name.clone());
-            }
-            Stmt::Let { .. } | Stmt::Store { .. } => {}
-            Stmt::For { body, .. } => assigned_vars(body, out),
-            Stmt::If {
-                then_body,
-                else_body,
-                ..
-            } => {
-                assigned_vars(then_body, out);
-                assigned_vars(else_body, out);
-            }
-        }
-    }
-}
-
-struct ParWalk<'k> {
-    kernel: &'k Kernel,
-    scopes: Vec<HashMap<String, PVal>>,
-    bufs: HashMap<String, BufRecord>,
+struct ParWalk<'r> {
+    r: &'r Resolved,
+    /// Abstract value per slot.
+    vals: Vec<PVal>,
+    /// Access record per slot (only buffer slots are ever touched).
+    bufs: Vec<BufRecord>,
 }
 
 impl ParWalk<'_> {
-    fn top(&mut self) -> &mut HashMap<String, PVal> {
-        if self.scopes.is_empty() {
-            self.scopes.push(HashMap::new());
-        }
-        let top = self.scopes.len() - 1;
-        &mut self.scopes[top]
-    }
-
-    fn lookup(&self, name: &str) -> PVal {
-        for scope in self.scopes.iter().rev() {
-            if let Some(v) = scope.get(name) {
-                return v.clone();
-            }
-        }
-        match self.kernel.param(name) {
-            Some(Param::Scalar { ty, .. }) => match self.kernel.resolve(ty) {
-                Some(ScalarType::Int) => PVal::Affine(AffineIdx {
-                    c0: None,
-                    c1: None,
-                    b: Sym::Arg(name.to_owned()),
-                }),
-                _ => PVal::Opaque,
-            },
-            _ => PVal::Opaque,
-        }
-    }
-
-    /// Forgets what is known about `name` (it is about to be mutated by a
-    /// loop body or a branch).
-    fn invalidate(&mut self, name: &str) {
-        for scope in self.scopes.iter_mut().rev() {
-            if let Some(slot) = scope.get_mut(name) {
-                *slot = PVal::Opaque;
-                return;
-            }
-        }
-        // A parameter (or unbound name): shadow it in the root scope so
-        // later lookups see the invalidation.
-        if self.scopes.is_empty() {
-            self.scopes.push(HashMap::new());
-        }
-        self.scopes[0].insert(name.to_owned(), PVal::Opaque);
-    }
-
-    fn set(&mut self, name: &str, v: PVal) {
-        for scope in self.scopes.iter_mut().rev() {
-            if let Some(slot) = scope.get_mut(name) {
-                *slot = v;
-                return;
-            }
-        }
-        if self.scopes.is_empty() {
-            self.scopes.push(HashMap::new());
-        }
-        self.scopes[0].insert(name.to_owned(), v);
-    }
-
-    fn record_store(&mut self, buf: &str, idx: PVal) {
-        let rec = self.bufs.entry(buf.to_owned()).or_default();
+    fn record_store(&mut self, buf: Slot, idx: PVal) {
+        let rec = &mut self.bufs[buf];
         rec.stored = true;
         match idx {
             PVal::Affine(a) => rec.sites.push(a),
@@ -288,43 +212,46 @@ impl ParWalk<'_> {
         }
     }
 
-    fn record_load(&mut self, buf: &str, idx: PVal) {
-        let rec = self.bufs.entry(buf.to_owned()).or_default();
+    fn record_load(&mut self, buf: Slot, idx: PVal) {
+        let rec = &mut self.bufs[buf];
         match idx {
             PVal::Affine(a) => rec.sites.push(a),
             PVal::Opaque => rec.opaque_load = true,
         }
     }
 
-    fn walk(&mut self, stmts: &[Stmt]) {
+    /// Forgets what is known about every slot `stmts` assigns (they are
+    /// about to be mutated by a loop body or a branch).
+    fn invalidate(&mut self, stmts: &[Stmt<Slot>]) {
+        for s in assigned_slots(stmts) {
+            self.vals[s] = PVal::Opaque;
+        }
+    }
+
+    fn walk(&mut self, stmts: &[Stmt<Slot>]) {
         for s in stmts {
             self.stmt(s);
         }
     }
 
-    fn stmt(&mut self, s: &Stmt) {
+    fn stmt(&mut self, s: &Stmt<Slot>) {
         match s {
             Stmt::Let { name, ty, value } => {
                 let v = self.eval(value);
                 // A declared non-int type makes the binding opaque (float
                 // coercion loses the index structure).
-                let v = match ty {
-                    Some(t) => match self.kernel.resolve(t) {
-                        Some(ScalarType::Int) => v,
-                        _ => PVal::Opaque,
-                    },
-                    None => v,
+                self.vals[*name] = match ty {
+                    Some(t) if self.r.ty(t) != ScalarType::Int => PVal::Opaque,
+                    _ => v,
                 };
-                self.top().insert(name.clone(), v);
             }
             Stmt::Assign { name, value } => {
-                let v = self.eval(value);
-                self.set(name, v);
+                self.vals[*name] = self.eval(value);
             }
             Stmt::Store { buf, index, value } => {
                 let iv = self.eval(index);
                 let _ = self.eval(value); // records loads inside the value
-                self.record_store(buf, iv);
+                self.record_store(*buf, iv);
             }
             Stmt::For {
                 var,
@@ -336,15 +263,9 @@ impl ParWalk<'_> {
                 let _ = self.eval(end);
                 // One conservative pass over the body: anything it assigns
                 // is unknown across iterations, as is the loop variable.
-                let mut assigned = HashSet::new();
-                assigned_vars(body, &mut assigned);
-                for n in &assigned {
-                    self.invalidate(n);
-                }
-                self.scopes.push(HashMap::new());
-                self.top().insert(var.clone(), PVal::Opaque);
+                self.invalidate(body);
+                self.vals[*var] = PVal::Opaque;
                 self.walk(body);
-                self.scopes.pop();
             }
             Stmt::If {
                 cond,
@@ -355,32 +276,26 @@ impl ParWalk<'_> {
                 // Walk each branch against a private copy of the
                 // environment (sites accumulate in `self.bufs` across
                 // both), then forget anything either branch assigns.
-                let saved = self.scopes.clone();
-                self.scopes.push(HashMap::new());
+                let saved = self.vals.clone();
                 self.walk(then_body);
-                self.scopes.clone_from(&saved);
-                self.scopes.push(HashMap::new());
+                self.vals.clone_from(&saved);
                 self.walk(else_body);
-                self.scopes = saved;
-                let mut assigned = HashSet::new();
-                assigned_vars(then_body, &mut assigned);
-                assigned_vars(else_body, &mut assigned);
-                for n in &assigned {
-                    self.invalidate(n);
-                }
+                self.vals = saved;
+                self.invalidate(then_body);
+                self.invalidate(else_body);
             }
         }
     }
 
-    fn eval(&mut self, e: &Expr) -> PVal {
+    fn eval(&mut self, e: &Expr<Slot>) -> PVal {
         match e {
             Expr::IntConst(v) => PVal::Affine(AffineIdx::constant(*v)),
             Expr::FloatConst(_) => PVal::Opaque,
             Expr::GlobalId(d) => PVal::Affine(AffineIdx::gid(*d)),
-            Expr::Var(n) => self.lookup(n),
+            Expr::Var(s) => self.vals[*s].clone(),
             Expr::Load { buf, index } => {
                 let iv = self.eval(index);
-                self.record_load(buf, iv);
+                self.record_load(*buf, iv);
                 PVal::Opaque
             }
             Expr::Unary { op, arg } => {
@@ -392,9 +307,10 @@ impl ParWalk<'_> {
             }
             Expr::Cast { to, arg } => {
                 let v = self.eval(arg);
-                match self.kernel.resolve(to) {
-                    Some(ScalarType::Int) => v,
-                    _ => PVal::Opaque,
+                if self.r.ty(to) == ScalarType::Int {
+                    v
+                } else {
+                    PVal::Opaque
                 }
             }
             Expr::Bin { op, lhs, rhs } => {
@@ -433,22 +349,45 @@ impl ParWalk<'_> {
     }
 }
 
-/// Runs the disjoint-write analysis over one kernel.
+/// Runs the disjoint-write analysis over one kernel. A kernel the type
+/// checker rejects is `Unproven`.
 ///
 /// The result is launch-independent and intended to be computed once at
 /// compile time (see `CompiledKernel` in [`crate::vm`]); per-launch
 /// disjointness is then decided by [`WriteSummary::resolve`].
 #[must_use]
 pub fn parallel_safety(kernel: &Kernel) -> ParallelSafety {
+    match Resolved::checked(kernel) {
+        Ok(r) => parallel_safety_of(&r),
+        Err(_) => ParallelSafety::Unproven("the kernel does not type-check"),
+    }
+}
+
+/// [`parallel_safety`] of an already resolved, type-correct kernel.
+pub(crate) fn parallel_safety_of(r: &Resolved) -> ParallelSafety {
+    // Integer scalar parameters are symbolic; everything else starts
+    // opaque (locals and loop variables are bound before any use).
+    let vals = r
+        .slots
+        .iter()
+        .map(|s| match s.kind {
+            SlotKind::Scalar(_) if s.ty == ScalarType::Int => PVal::Affine(AffineIdx {
+                c0: None,
+                c1: None,
+                b: Sym::Arg(s.name.clone()),
+            }),
+            _ => PVal::Opaque,
+        })
+        .collect();
     let mut w = ParWalk {
-        kernel,
-        scopes: vec![HashMap::new()],
-        bufs: HashMap::new(),
+        r,
+        vals,
+        bufs: vec![BufRecord::default(); r.slots.len()],
     };
-    w.walk(&kernel.body);
+    w.walk(&r.body);
 
     let mut bufs = Vec::new();
-    for (name, rec) in w.bufs {
+    for (slot, rec) in w.bufs.into_iter().enumerate() {
         if !rec.stored {
             continue;
         }
@@ -459,11 +398,10 @@ pub fn parallel_safety(kernel: &Kernel) -> ParallelSafety {
             return ParallelSafety::Unproven("a stored buffer is loaded at a non-affine index");
         }
         bufs.push(BufSites {
-            name,
+            name: r.slots[slot].name.clone(),
             sites: rec.sites,
         });
     }
-    // Deterministic order (HashMap iteration is not).
     bufs.sort_by(|a, b| a.name.cmp(&b.name));
     ParallelSafety::Disjoint(WriteSummary { bufs })
 }

@@ -45,22 +45,26 @@ impl Access {
 /// retype pass changes a buffer's element precision, every `ElemOf` use
 /// follows automatically — the same effect as the paper's LLVM pass
 /// rewriting dependent value types.
+///
+/// Like [`Expr`] and [`Stmt`], it is generic over how names are written:
+/// source kernels use [`Ident`]s, and the type checker's resolved form
+/// replaces each with the index of its binding.
 #[derive(Clone, Debug, PartialEq, Eq, Hash)]
-pub enum TypeRef {
+pub enum TypeRef<N = Ident> {
     /// A fixed scalar type.
     Concrete(ScalarType),
     /// The element type of the named buffer parameter.
-    ElemOf(Ident),
+    ElemOf(N),
 }
 
-impl From<ScalarType> for TypeRef {
-    fn from(t: ScalarType) -> TypeRef {
+impl<N> From<ScalarType> for TypeRef<N> {
+    fn from(t: ScalarType) -> TypeRef<N> {
         TypeRef::Concrete(t)
     }
 }
 
-impl From<Precision> for TypeRef {
-    fn from(p: Precision) -> TypeRef {
+impl<N> From<Precision> for TypeRef<N> {
+    fn from(p: Precision) -> TypeRef<N> {
         TypeRef::Concrete(ScalarType::Float(p))
     }
 }
@@ -96,9 +100,9 @@ impl Param {
     }
 }
 
-/// An expression.
+/// An expression, generic over how names are written (see [`TypeRef`]).
 #[derive(Clone, Debug, PartialEq)]
-pub enum Expr {
+pub enum Expr<N = Ident> {
     /// A polymorphic float literal: adopts the precision of its context
     /// (binop sibling, declared local type, or stored-to buffer), defaulting
     /// to double when unconstrained — like a C literal under implicit
@@ -107,60 +111,60 @@ pub enum Expr {
     /// An integer literal.
     IntConst(i64),
     /// A local variable, loop variable, or scalar parameter.
-    Var(Ident),
+    Var(N),
     /// `get_global_id(dim)`.
     GlobalId(usize),
     /// `buf[index]` — yields the buffer's element type.
     Load {
         /// Buffer parameter name.
-        buf: Ident,
+        buf: N,
         /// Element index (integer expression).
-        index: Box<Expr>,
+        index: Box<Expr<N>>,
     },
     /// A unary math operation at the operand's precision.
     Unary {
         /// The function.
         op: UnaryFn,
         /// Operand.
-        arg: Box<Expr>,
+        arg: Box<Expr<N>>,
     },
     /// A binary arithmetic operation at the promoted operand precision.
     Bin {
         /// The operator.
         op: FloatBinOp,
         /// Left operand.
-        lhs: Box<Expr>,
+        lhs: Box<Expr<N>>,
         /// Right operand.
-        rhs: Box<Expr>,
+        rhs: Box<Expr<N>>,
     },
     /// A comparison, yielding `bool`.
     Cmp {
         /// The comparison.
         op: CmpOp,
         /// Left operand.
-        lhs: Box<Expr>,
+        lhs: Box<Expr<N>>,
         /// Right operand.
-        rhs: Box<Expr>,
+        rhs: Box<Expr<N>>,
     },
     /// An explicit conversion (`convert_half(x)`, `(double)x`, `(long)x`).
     Cast {
         /// Target type (`Bool` is not permitted).
-        to: TypeRef,
+        to: TypeRef<N>,
         /// Operand.
-        arg: Box<Expr>,
+        arg: Box<Expr<N>>,
     },
     /// `cond ? then : els`, operands promoted like a binary op.
     Select {
         /// Condition (boolean expression).
-        cond: Box<Expr>,
+        cond: Box<Expr<N>>,
         /// Value when true.
-        then: Box<Expr>,
+        then: Box<Expr<N>>,
         /// Value when false.
-        els: Box<Expr>,
+        els: Box<Expr<N>>,
     },
 }
 
-impl Expr {
+impl<N> Expr<N> {
     /// Whether this expression's float precision is still
     /// context-determined: a literal, or math over literals only (the type
     /// checker's `WeakFloat`). Both engines resolve such an operand
@@ -177,53 +181,53 @@ impl Expr {
     }
 }
 
-/// A statement.
+/// A statement, generic over how names are written (see [`TypeRef`]).
 #[derive(Clone, Debug, PartialEq)]
-pub enum Stmt {
+pub enum Stmt<N = Ident> {
     /// Declares (and initializes) a local variable.
     Let {
         /// Variable name.
-        name: Ident,
+        name: N,
         /// Declared type; inferred from `value` when `None`.
-        ty: Option<TypeRef>,
+        ty: Option<TypeRef<N>>,
         /// Initializer.
-        value: Expr,
+        value: Expr<N>,
     },
     /// Reassigns an existing local (converts to its declared type).
     Assign {
         /// Variable name.
-        name: Ident,
+        name: N,
         /// New value.
-        value: Expr,
+        value: Expr<N>,
     },
     /// `buf[index] = value` — converts to the buffer's element type.
     Store {
         /// Buffer parameter name.
-        buf: Ident,
+        buf: N,
         /// Element index.
-        index: Expr,
+        index: Expr<N>,
         /// Stored value.
-        value: Expr,
+        value: Expr<N>,
     },
     /// `for (long var = start; var < end; ++var) body`.
     For {
         /// Loop variable (scoped to the body).
-        var: Ident,
+        var: N,
         /// Inclusive start (integer expression).
-        start: Expr,
+        start: Expr<N>,
         /// Exclusive end (integer expression).
-        end: Expr,
+        end: Expr<N>,
         /// Loop body.
-        body: Vec<Stmt>,
+        body: Vec<Stmt<N>>,
     },
     /// `if (cond) { then } else { els }`.
     If {
         /// Condition.
-        cond: Expr,
+        cond: Expr<N>,
         /// True branch.
-        then_body: Vec<Stmt>,
+        then_body: Vec<Stmt<N>>,
         /// False branch (may be empty).
-        else_body: Vec<Stmt>,
+        else_body: Vec<Stmt<N>>,
     },
 }
 
@@ -318,50 +322,59 @@ impl Program {
     }
 }
 
-/// Walks every expression in a statement list, depth-first.
-pub fn visit_exprs<'a>(stmts: &'a [Stmt], f: &mut impl FnMut(&'a Expr)) {
-    fn expr<'a>(e: &'a Expr, f: &mut impl FnMut(&'a Expr)) {
-        f(e);
-        match e {
-            Expr::FloatConst(_) | Expr::IntConst(_) | Expr::Var(_) | Expr::GlobalId(_) => {}
-            Expr::Load { index, .. } => expr(index, f),
-            Expr::Unary { arg, .. } | Expr::Cast { arg, .. } => expr(arg, f),
-            Expr::Bin { lhs, rhs, .. } | Expr::Cmp { lhs, rhs, .. } => {
-                expr(lhs, f);
-                expr(rhs, f);
-            }
-            Expr::Select { cond, then, els } => {
-                expr(cond, f);
-                expr(then, f);
-                expr(els, f);
-            }
-        }
-    }
+/// Calls `f` on every statement of `stmts`, nested bodies included,
+/// in program order (each statement before its nested bodies).
+pub fn visit_stmts<'a, N>(stmts: &'a [Stmt<N>], f: &mut impl FnMut(&'a Stmt<N>)) {
     for s in stmts {
+        f(s);
         match s {
-            Stmt::Let { value, .. } | Stmt::Assign { value, .. } => expr(value, f),
-            Stmt::Store { index, value, .. } => {
-                expr(index, f);
-                expr(value, f);
-            }
-            Stmt::For {
-                start, end, body, ..
-            } => {
-                expr(start, f);
-                expr(end, f);
-                visit_exprs(body, f);
-            }
+            Stmt::For { body, .. } => visit_stmts(body, f),
             Stmt::If {
-                cond,
                 then_body,
                 else_body,
+                ..
             } => {
-                expr(cond, f);
-                visit_exprs(then_body, f);
-                visit_exprs(else_body, f);
+                visit_stmts(then_body, f);
+                visit_stmts(else_body, f);
             }
+            Stmt::Let { .. } | Stmt::Assign { .. } | Stmt::Store { .. } => {}
         }
     }
+}
+
+/// Calls `f` on `e` and every sub-expression of it, depth-first.
+pub fn visit_expr<'a, N>(e: &'a Expr<N>, f: &mut impl FnMut(&'a Expr<N>)) {
+    f(e);
+    match e {
+        Expr::FloatConst(_) | Expr::IntConst(_) | Expr::Var(_) | Expr::GlobalId(_) => {}
+        Expr::Load { index, .. } => visit_expr(index, f),
+        Expr::Unary { arg, .. } | Expr::Cast { arg, .. } => visit_expr(arg, f),
+        Expr::Bin { lhs, rhs, .. } | Expr::Cmp { lhs, rhs, .. } => {
+            visit_expr(lhs, f);
+            visit_expr(rhs, f);
+        }
+        Expr::Select { cond, then, els } => {
+            visit_expr(cond, f);
+            visit_expr(then, f);
+            visit_expr(els, f);
+        }
+    }
+}
+
+/// Walks every expression in a statement list, depth-first.
+pub fn visit_exprs<'a, N>(stmts: &'a [Stmt<N>], f: &mut impl FnMut(&'a Expr<N>)) {
+    visit_stmts(stmts, &mut |s| match s {
+        Stmt::Let { value, .. } | Stmt::Assign { value, .. } => visit_expr(value, f),
+        Stmt::Store { index, value, .. } => {
+            visit_expr(index, f);
+            visit_expr(value, f);
+        }
+        Stmt::For { start, end, .. } => {
+            visit_expr(start, f);
+            visit_expr(end, f);
+        }
+        Stmt::If { cond, .. } => visit_expr(cond, f),
+    });
 }
 
 #[cfg(test)]

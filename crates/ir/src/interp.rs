@@ -355,7 +355,11 @@ impl<'a> Interp<'a> {
                 self.counts.int_ops += 2 * (e - s).max(0) as u64;
                 self.scope(|cx| {
                     for i in s..e {
-                        cx.top_scope().insert(var.as_str(), Scalar::Int(i));
+                        // Every trip starts from an empty body scope: a
+                        // `let` must not see the previous trip's binding.
+                        let scope = cx.top_scope();
+                        scope.clear();
+                        scope.insert(var.as_str(), Scalar::Int(i));
                         cx.block(body)?;
                     }
                     Ok(())
@@ -576,6 +580,31 @@ mod tests {
         let launch = Launch::one_d(n).arg_float("a", 3.0).arg_int("n", n as i64);
         let counts = run_kernel(&k, &mut bufs, &launch).unwrap();
         (bufs.remove("y").unwrap(), counts)
+    }
+
+    #[test]
+    fn a_loop_body_let_reads_the_outer_binding_on_every_trip() {
+        // The inner `x` shadows the outer one, so every trip computes
+        // 0 + 1; a body scope kept across trips would store 3.
+        let k = kernel("k")
+            .buffer("c", Precision::Double, Access::Write)
+            .body(vec![
+                let_("x", flit(0.0)),
+                for_(
+                    "i",
+                    int(0),
+                    int(3),
+                    vec![
+                        let_("x", var("x") + flit(1.0)),
+                        store("c", int(0), var("x")),
+                    ],
+                ),
+            ]);
+        check_kernel(&k).unwrap();
+        let mut bufs = BufferMap::new();
+        bufs.insert("c".into(), FloatVec::zeros(1, Precision::Double));
+        run_kernel(&k, &mut bufs, &Launch::one_d(1)).unwrap();
+        assert_eq!(bufs["c"].get(0), 1.0);
     }
 
     #[test]

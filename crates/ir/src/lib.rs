@@ -7,7 +7,9 @@
 //!
 //! * [`ast`] — kernels, parameters, statements, expressions;
 //! * [`dsl`] — a builder DSL so kernels read close to OpenCL C;
-//! * [`typeck`] — a type checker (also the post-condition of every pass);
+//! * [`typeck`] — a type checker (also the post-condition of every pass)
+//!   and the crate's one name resolver, whose slot-resolved body the VM
+//!   compiler, the analyses and the verifier read;
 //! * [`passes`] — memory-object retyping, in-kernel cast insertion,
 //!   constant folding, access inference;
 //! * [`interp`] — functional execution in true binary16/32/64 arithmetic,

@@ -53,7 +53,8 @@
 //! [`PrecisionVerdict::Unknown`]: the analysis never blocks a trial it
 //! cannot reject outright.
 
-use crate::ast::{Expr, Kernel, Param, Stmt};
+use crate::ast::{visit_expr, visit_stmts, Expr, Kernel, Stmt};
+use crate::typeck::{assigned_slots, Resolved, Slot, SlotKind};
 use crate::types::{Precision, ScalarType};
 use crate::value::{CmpOp, FloatBinOp, UnaryFn};
 use std::collections::{BTreeMap, HashMap, HashSet};
@@ -544,19 +545,54 @@ pub fn verdict_for(contributions: &[(ValueRange, bool)], target: Precision) -> P
 }
 
 /// Abstract-interprets `kernel` under `env`, returning the stores it
-/// performs (in evaluation order; conditional paths are joined).
+/// performs (in evaluation order; conditional paths are joined). A kernel
+/// the type checker rejects yields no summaries.
 #[must_use]
 pub fn analyze_kernel(kernel: &Kernel, env: &LaunchBounds) -> Vec<StoreSummary> {
+    let Ok(r) = Resolved::checked(kernel) else {
+        return Vec::new();
+    };
+    // Scalar parameters start at their recorded arguments (else ⊤ of
+    // their type) and buffers at their input distributions; locals and
+    // loop variables are bound before any use.
+    let vars = r
+        .slots
+        .iter()
+        .map(|s| {
+            let val = match (&s.kind, env.scalars.get(&s.name)) {
+                (SlotKind::Scalar(_), Some(ScalarBound::Int(v))) => {
+                    AVal::Int(IntRange::point(i128::from(*v)))
+                }
+                (SlotKind::Scalar(_), Some(ScalarBound::Float(v))) => {
+                    AVal::Float(ValueRange::exact(*v))
+                }
+                (SlotKind::Scalar(_), None) if s.ty == ScalarType::Int => AVal::Int(IntRange::TOP),
+                _ => AVal::Float(ValueRange::TOP),
+            };
+            Binding {
+                val,
+                prov: Provenance::deterministic(),
+            }
+        })
+        .collect();
+    let buffers = r
+        .slots
+        .iter()
+        .map(|s| match s.kind {
+            SlotKind::Buffer(_) => env.buffers.get(&s.name).copied(),
+            _ => None,
+        })
+        .map(|b| b.unwrap_or(ValueRange::TOP))
+        .collect();
     let mut a = Absint {
-        kernel,
-        buffers: env.buffers.clone().into_iter().collect(),
+        r: &r,
+        buffers,
         buffer_sources: HashMap::new(),
-        scopes: vec![HashMap::new()],
+        vars,
         stores: Vec::new(),
         global: env.global,
-        scalars: env.scalars.clone(),
     };
-    a.eval_block(&kernel.body, true);
+    a.eval_block(&r.body, true);
     a.stores
 }
 
@@ -567,8 +603,8 @@ pub fn analyze_kernel(kernel: &Kernel, env: &LaunchBounds) -> Vec<StoreSummary> 
 /// mean estimates, never bounds.
 #[derive(Clone, Debug, Default, PartialEq)]
 struct Provenance {
-    /// Buffer names whose contents influence the value.
-    sources: HashSet<String>,
+    /// Buffer slots whose contents influence the value.
+    sources: HashSet<Slot>,
     /// True for unmodified draws; any arithmetic clears it.
     raw: bool,
 }
@@ -587,7 +623,7 @@ impl Provenance {
     /// value's.
     fn join(&self, other: &Provenance) -> Provenance {
         let mut sources = self.sources.clone();
-        sources.extend(other.sources.iter().cloned());
+        sources.extend(&other.sources);
         Provenance {
             raw: self.raw && other.raw && self.sources == other.sources,
             sources,
@@ -595,227 +631,100 @@ impl Provenance {
     }
 }
 
-/// One scope slot: the abstract value plus its provenance.
+/// One slot's abstract value plus its provenance.
 #[derive(Clone, Debug)]
 struct Binding {
     val: AVal,
     prov: Provenance,
 }
 
-struct Absint<'k> {
-    kernel: &'k Kernel,
-    /// Current per-buffer element distribution (input-seeded, updated
-    /// by stores).
-    buffers: HashMap<String, ValueRange>,
+impl Binding {
+    /// Hulls `other` into `self` at a control-flow merge.
+    fn join(&mut self, other: &Binding) {
+        self.val = self.val.hull(other.val);
+        self.prov = self.prov.join(&other.prov);
+    }
+}
+
+struct Absint<'r> {
+    r: &'r Resolved,
+    /// Current per-buffer element distribution, by slot (input-seeded,
+    /// updated by stores).
+    buffers: Vec<ValueRange>,
     /// Buffers whose elements are no longer pristine input draws: a
     /// store derived from other stochastic sources lands them here,
     /// keyed to the sources the stored values carry.
-    buffer_sources: HashMap<String, HashSet<String>>,
-    scopes: Vec<HashMap<String, Binding>>,
+    buffer_sources: HashMap<Slot, HashSet<Slot>>,
+    /// The binding of every slot.
+    vars: Vec<Binding>,
     stores: Vec<StoreSummary>,
     global: [usize; 2],
-    scalars: BTreeMap<String, ScalarBound>,
 }
 
-/// Names assigned (via `Assign`) anywhere in a block, nested included.
-fn assigned_vars(stmts: &[Stmt], out: &mut HashSet<String>) {
-    for s in stmts {
-        match s {
-            Stmt::Assign { name, .. } => {
-                out.insert(name.clone());
-            }
-            Stmt::For { body, .. } => assigned_vars(body, out),
-            Stmt::If {
-                then_body,
-                else_body,
-                ..
-            } => {
-                assigned_vars(then_body, out);
-                assigned_vars(else_body, out);
-            }
-            Stmt::Let { .. } | Stmt::Store { .. } => {}
+/// Slots an expression reads (`vars`) and buffer slots it loads from
+/// (`loads`), added to the given sets.
+fn expr_reads(e: &Expr<Slot>, vars: &mut HashSet<Slot>, loads: &mut HashSet<Slot>) {
+    visit_expr(e, &mut |x| match x {
+        Expr::Var(s) => {
+            vars.insert(*s);
         }
-    }
-}
-
-/// Free variable names of an expression.
-fn expr_vars(e: &Expr, out: &mut HashSet<String>) {
-    match e {
-        Expr::Var(n) => {
-            out.insert(n.clone());
+        Expr::Load { buf, .. } => {
+            loads.insert(*buf);
         }
-        Expr::FloatConst(_) | Expr::IntConst(_) | Expr::GlobalId(_) => {}
-        Expr::Load { index, .. } => expr_vars(index, out),
-        Expr::Unary { arg, .. } | Expr::Cast { arg, .. } => expr_vars(arg, out),
-        Expr::Bin { lhs, rhs, .. } | Expr::Cmp { lhs, rhs, .. } => {
-            expr_vars(lhs, out);
-            expr_vars(rhs, out);
-        }
-        Expr::Select { cond, then, els } => {
-            expr_vars(cond, out);
-            expr_vars(then, out);
-            expr_vars(els, out);
-        }
-    }
-}
-
-/// Buffers an expression loads from.
-fn loaded_buffers(e: &Expr, out: &mut HashSet<String>) {
-    match e {
-        Expr::Load { buf, index } => {
-            out.insert(buf.clone());
-            loaded_buffers(index, out);
-        }
-        Expr::FloatConst(_) | Expr::IntConst(_) | Expr::Var(_) | Expr::GlobalId(_) => {}
-        Expr::Unary { arg, .. } | Expr::Cast { arg, .. } => loaded_buffers(arg, out),
-        Expr::Bin { lhs, rhs, .. } | Expr::Cmp { lhs, rhs, .. } => {
-            loaded_buffers(lhs, out);
-            loaded_buffers(rhs, out);
-        }
-        Expr::Select { cond, then, els } => {
-            loaded_buffers(cond, out);
-            loaded_buffers(then, out);
-            loaded_buffers(els, out);
-        }
-    }
-}
-
-/// Buffers a block stores to, nested included.
-fn stored_buffers(stmts: &[Stmt], out: &mut HashSet<String>) {
-    for s in stmts {
-        match s {
-            Stmt::Store { buf, .. } => {
-                out.insert(buf.clone());
-            }
-            Stmt::For { body, .. } => stored_buffers(body, out),
-            Stmt::If {
-                then_body,
-                else_body,
-                ..
-            } => {
-                stored_buffers(then_body, out);
-                stored_buffers(else_body, out);
-            }
-            Stmt::Let { .. } | Stmt::Assign { .. } => {}
-        }
-    }
+        _ => {}
+    });
 }
 
 /// An additive recurrence `v = v ± e` found at the top level of a loop
 /// body.
 struct Recurrence<'b> {
-    name: &'b str,
-    delta: &'b Expr,
+    slot: Slot,
+    delta: &'b Expr<Slot>,
     negated: bool,
 }
 
 /// Matches `v = v + e`, `v = e + v`, or `v = v - e`.
-fn match_recurrence<'b>(name: &'b str, value: &'b Expr) -> Option<Recurrence<'b>> {
+fn match_recurrence(slot: Slot, value: &Expr<Slot>) -> Option<Recurrence<'_>> {
     let Expr::Bin { op, lhs, rhs } = value else {
         return None;
     };
-    let is_self = |e: &Expr| matches!(e, Expr::Var(n) if n == name);
-    match op {
-        FloatBinOp::Add if is_self(lhs) => Some(Recurrence {
-            name,
-            delta: rhs,
-            negated: false,
-        }),
-        FloatBinOp::Add if is_self(rhs) => Some(Recurrence {
-            name,
-            delta: lhs,
-            negated: false,
-        }),
-        FloatBinOp::Sub if is_self(lhs) => Some(Recurrence {
-            name,
-            delta: rhs,
-            negated: true,
-        }),
-        _ => None,
-    }
+    let is_self = |e: &Expr<Slot>| matches!(e, Expr::Var(n) if *n == slot);
+    let (delta, negated) = match op {
+        FloatBinOp::Add if is_self(lhs) => (rhs, false),
+        FloatBinOp::Add if is_self(rhs) => (lhs, false),
+        FloatBinOp::Sub if is_self(lhs) => (rhs, true),
+        _ => return None,
+    };
+    Some(Recurrence {
+        slot,
+        delta,
+        negated,
+    })
 }
 
 impl Absint<'_> {
-    fn lookup(&self, name: &str) -> AVal {
-        for scope in self.scopes.iter().rev() {
-            if let Some(b) = scope.get(name) {
-                return b.val;
-            }
-        }
-        match self.kernel.param(name) {
-            Some(Param::Scalar { ty, .. }) => match self.scalars.get(name) {
-                Some(ScalarBound::Int(v)) => AVal::Int(IntRange::point(i128::from(*v))),
-                Some(ScalarBound::Float(v)) => AVal::Float(ValueRange::exact(*v)),
-                None => match self.kernel.resolve(ty) {
-                    Some(ScalarType::Int) => AVal::Int(IntRange::TOP),
-                    _ => AVal::Float(ValueRange::TOP),
-                },
-            },
-            _ => AVal::Float(ValueRange::TOP),
-        }
-    }
-
-    /// Provenance of a name: its binding's, or deterministic for
-    /// unbound names (scalar parameters, which the host fixes before
-    /// launch).
-    fn lookup_prov(&self, name: &str) -> Provenance {
-        for scope in self.scopes.iter().rev() {
-            if let Some(b) = scope.get(name) {
-                return b.prov.clone();
-            }
-        }
-        Provenance::deterministic()
-    }
-
-    /// Binds with deterministic provenance (loop variables, widened
-    /// slots — anything whose mean can never feed a product).
-    fn bind(&mut self, name: &str, v: AVal) {
-        self.bind_with(name, v, Provenance::deterministic());
-    }
-
-    fn bind_with(&mut self, name: &str, v: AVal, prov: Provenance) {
-        if let Some(top) = self.scopes.last_mut() {
-            top.insert(name.to_owned(), Binding { val: v, prov });
-        }
-    }
-
-    /// Reassigns wherever the name is bound (outer scopes included),
-    /// keeping the slot's provenance.
-    fn assign(&mut self, name: &str, v: AVal) {
-        for scope in self.scopes.iter_mut().rev() {
-            if let Some(slot) = scope.get_mut(name) {
-                slot.val = v;
-                return;
-            }
-        }
-        self.bind(name, v);
-    }
-
-    /// Reassigns value and provenance together wherever the name is
-    /// bound.
-    fn assign_with(&mut self, name: &str, v: AVal, prov: Provenance) {
-        for scope in self.scopes.iter_mut().rev() {
-            if let Some(slot) = scope.get_mut(name) {
-                *slot = Binding { val: v, prov };
-                return;
-            }
-        }
-        self.bind_with(name, v, prov);
+    /// Rebinds a slot with deterministic provenance (loop variables —
+    /// anything whose mean can never feed a product).
+    fn bind(&mut self, slot: Slot, v: AVal) {
+        self.vars[slot] = Binding {
+            val: v,
+            prov: Provenance::deterministic(),
+        };
     }
 
     /// Stochastic provenance of an expression's value.
-    fn expr_prov(&self, e: &Expr) -> Provenance {
+    fn expr_prov(&self, e: &Expr<Slot>) -> Provenance {
         match e {
             Expr::FloatConst(_) | Expr::IntConst(_) | Expr::GlobalId(_) => {
                 Provenance::deterministic()
             }
-            Expr::Var(n) => self.lookup_prov(n),
+            Expr::Var(s) => self.vars[*s].prov.clone(),
             Expr::Load { buf, index } => {
                 let mut sources = self.expr_prov(index).sources;
                 if let Some(extra) = self.buffer_sources.get(buf) {
-                    sources.extend(extra.iter().cloned());
+                    sources.extend(extra);
                 }
-                sources.insert(buf.clone());
+                sources.insert(*buf);
                 Provenance { sources, raw: true }
             }
             // A cast changes representation, not which draw the value
@@ -851,7 +760,7 @@ impl Absint<'_> {
     /// *pristine* input buffer (two iid elements are either the same
     /// one — a square, whose true mean `E[X²] ≥ E[X]²` the estimate
     /// under-states — or independent).
-    fn independent_factors(&self, l: &Expr, r: &Expr) -> bool {
+    fn independent_factors(&self, l: &Expr<Slot>, r: &Expr<Slot>) -> bool {
         let lp = self.expr_prov(l);
         let rp = self.expr_prov(r);
         lp.sources.is_disjoint(&rp.sources)
@@ -865,11 +774,7 @@ impl Absint<'_> {
                     .all(|b| !self.buffer_sources.contains_key(b)))
     }
 
-    fn buffer_range(&self, buf: &str) -> ValueRange {
-        self.buffers.get(buf).copied().unwrap_or(ValueRange::TOP)
-    }
-
-    fn eval(&mut self, e: &Expr) -> AVal {
+    fn eval(&mut self, e: &Expr<Slot>) -> AVal {
         match e {
             Expr::FloatConst(v) => AVal::Float(ValueRange::exact(*v)),
             Expr::IntConst(v) => AVal::Int(IntRange::point(i128::from(*v))),
@@ -877,10 +782,10 @@ impl Absint<'_> {
                 let n = self.global.get(*d).copied().unwrap_or(1).max(1);
                 AVal::Int(IntRange::new(0, n as i128 - 1))
             }
-            Expr::Var(name) => self.lookup(name),
+            Expr::Var(s) => self.vars[*s].val,
             Expr::Load { buf, index } => {
                 self.eval(index); // soundness of the value needs no index
-                AVal::Float(self.buffer_range(buf))
+                AVal::Float(self.buffers[*buf])
             }
             Expr::Unary { op, arg } => {
                 let a = self.eval(arg);
@@ -986,8 +891,8 @@ impl Absint<'_> {
             // (int casts truncate, which the hull absorbs).
             Expr::Cast { to, arg } => {
                 let a = self.eval(arg);
-                match self.kernel.resolve(to) {
-                    Some(ScalarType::Int) => match a {
+                match self.r.ty(to) {
+                    ScalarType::Int => match a {
                         AVal::Int(i) => AVal::Int(i),
                         _ => {
                             let b = a.as_float().bounds;
@@ -1061,36 +966,30 @@ impl Absint<'_> {
         }
     }
 
-    fn eval_block(&mut self, stmts: &[Stmt], definite: bool) {
+    fn eval_block(&mut self, stmts: &[Stmt<Slot>], definite: bool) {
         for s in stmts {
             self.eval_stmt(s, definite);
         }
     }
 
-    fn eval_stmt(&mut self, stmt: &Stmt, definite: bool) {
+    fn eval_stmt(&mut self, stmt: &Stmt<Slot>, definite: bool) {
         match stmt {
-            Stmt::Let { name, value, .. } => {
-                let v = self.eval(value);
+            Stmt::Let { name, value, .. } | Stmt::Assign { name, value } => {
+                let val = self.eval(value);
                 let prov = self.expr_prov(value);
-                self.bind_with(name, v, prov);
-            }
-            Stmt::Assign { name, value } => {
-                let v = self.eval(value);
-                let prov = self.expr_prov(value);
-                self.assign_with(name, v, prov);
+                self.vars[*name] = Binding { val, prov };
             }
             Stmt::Store { buf, index, value } => {
                 self.eval(index);
                 let v = self.eval(value).as_float();
                 self.stores.push(StoreSummary {
-                    buf: buf.clone(),
+                    buf: self.r.slots[*buf].name.clone(),
                     range: v,
                     definite,
                 });
                 // Later loads of this buffer (same kernel) see old or
                 // new elements: hull them.
-                let merged = self.buffer_range(buf).hull(v);
-                self.buffers.insert(buf.clone(), merged);
+                self.buffers[*buf] = self.buffers[*buf].hull(v);
                 // Stored values derived from other draws leave the
                 // buffer non-pristine: its loads carry those sources
                 // and no longer qualify for the same-buffer product
@@ -1098,10 +997,7 @@ impl Absint<'_> {
                 let mut extra = self.expr_prov(value).sources;
                 extra.extend(self.expr_prov(index).sources);
                 if !extra.is_empty() {
-                    self.buffer_sources
-                        .entry(buf.clone())
-                        .or_default()
-                        .extend(extra);
+                    self.buffer_sources.entry(*buf).or_default().extend(extra);
                 }
             }
             Stmt::If {
@@ -1114,21 +1010,22 @@ impl Absint<'_> {
                     _ => BoolRange::UNKNOWN,
                 };
                 match (c.can_true, c.can_false) {
-                    (true, false) => self.scoped_block(then_body, definite),
-                    (false, true) => self.scoped_block(else_body, definite),
+                    (true, false) => self.eval_block(then_body, definite),
+                    (false, true) => self.eval_block(else_body, definite),
                     _ => {
                         // Join over both arms: evaluate each from the
                         // pre-state, then hull variables and buffers.
-                        let pre_scopes = self.scopes.clone();
+                        let pre_vars = self.vars.clone();
                         let pre_buffers = self.buffers.clone();
-                        self.scoped_block(then_body, false);
-                        let then_scopes = std::mem::replace(&mut self.scopes, pre_scopes);
+                        self.eval_block(then_body, false);
+                        let then_vars = std::mem::replace(&mut self.vars, pre_vars);
                         let then_buffers = std::mem::replace(&mut self.buffers, pre_buffers);
-                        self.scoped_block(else_body, false);
-                        join_scopes(&mut self.scopes, &then_scopes);
-                        for (k, v) in then_buffers {
-                            let merged = self.buffer_range(&k).hull(v);
-                            self.buffers.insert(k, merged);
+                        self.eval_block(else_body, false);
+                        for (mine, theirs) in self.vars.iter_mut().zip(&then_vars) {
+                            mine.join(theirs);
+                        }
+                        for (mine, theirs) in self.buffers.iter_mut().zip(then_buffers) {
+                            *mine = mine.hull(theirs);
                         }
                     }
                 }
@@ -1141,26 +1038,25 @@ impl Absint<'_> {
             } => {
                 let s = self.eval(start).as_int();
                 let e = self.eval(end).as_int();
-                self.eval_for(var, s, e, body, definite);
+                self.eval_for(*var, s, e, body, definite);
             }
         }
     }
 
-    fn scoped_block(&mut self, stmts: &[Stmt], definite: bool) {
-        self.scopes.push(HashMap::new());
-        self.eval_block(stmts, definite);
-        self.scopes.pop();
-    }
-
-    fn eval_for(&mut self, var: &str, s: IntRange, e: IntRange, body: &[Stmt], definite: bool) {
+    fn eval_for(
+        &mut self,
+        var: Slot,
+        s: IntRange,
+        e: IntRange,
+        body: &[Stmt<Slot>],
+        definite: bool,
+    ) {
         match (s.exact(), e.exact()) {
             (Some(s0), Some(e0)) if e0 <= s0 => {} // zero trips
             (Some(s0), Some(e0)) if e0 - s0 <= UNROLL_CAP => {
                 for i in s0..e0 {
-                    self.scopes.push(HashMap::new());
                     self.bind(var, AVal::Int(IntRange::point(i)));
                     self.eval_block(body, definite);
-                    self.scopes.pop();
                 }
             }
             (Some(s0), Some(e0)) => self.summarize_loop(var, s0, e0, body, definite),
@@ -1168,45 +1064,53 @@ impl Absint<'_> {
                 // Unknown trip count: widen every assigned variable to
                 // ⊤ before one descent, so the body's stores are still
                 // observed over a sound post-state.
-                let mut assigned = HashSet::new();
-                assigned_vars(body, &mut assigned);
-                for name in &assigned {
-                    self.widen_var(name);
+                let assigned = assigned_slots(body);
+                for &slot in &assigned {
+                    self.widen_var(slot);
                 }
-                self.scopes.push(HashMap::new());
                 let lo = s.lo.min(e.lo);
                 let hi = e.hi.saturating_sub(1).max(lo);
                 self.bind(var, AVal::Int(IntRange::new(lo, hi)));
                 self.eval_block(body, false);
-                self.scopes.pop();
-                for name in &assigned {
-                    self.widen_var(name);
+                for &slot in &assigned {
+                    self.widen_var(slot);
                 }
             }
         }
     }
 
-    fn widen_var(&mut self, name: &str) {
-        let widened = match self.lookup(name) {
+    /// Sends a slot to ⊤ of its kind, keeping its provenance.
+    fn widen_var(&mut self, slot: Slot) {
+        let v = &mut self.vars[slot].val;
+        *v = match v {
             AVal::Int(_) => AVal::Int(IntRange::TOP),
             AVal::Bool(_) => AVal::Bool(BoolRange::UNKNOWN),
             AVal::Float(_) => AVal::Float(ValueRange::TOP),
         };
-        self.assign(name, widened);
     }
 
     /// Closed-form summary of a loop with known trip count `e0 - s0 >`
     /// [`UNROLL_CAP`]: additive recurrences with iteration-independent
     /// deltas jump to their post-state, everything else assigned widens
     /// to ⊤.
-    fn summarize_loop(&mut self, var: &str, s0: i128, e0: i128, body: &[Stmt], definite: bool) {
+    fn summarize_loop(
+        &mut self,
+        var: Slot,
+        s0: i128,
+        e0: i128,
+        body: &[Stmt<Slot>],
+        definite: bool,
+    ) {
         let trips = e0 - s0;
-        let mut assigned = HashSet::new();
-        assigned_vars(body, &mut assigned);
+        let mut assign_counts: HashMap<Slot, usize> = HashMap::new();
         let mut stored = HashSet::new();
-        stored_buffers(body, &mut stored);
-        let mut assign_counts: HashMap<&str, usize> = HashMap::new();
-        count_assigns(body, &mut assign_counts);
+        visit_stmts(body, &mut |s| match s {
+            Stmt::Assign { name, .. } => *assign_counts.entry(*name).or_default() += 1,
+            Stmt::Store { buf, .. } => {
+                stored.insert(*buf);
+            }
+            _ => {}
+        });
 
         // Pass A: walk the top-level statements once in the pre-state
         // (loop variable bound to its full range), binding lets in
@@ -1220,30 +1124,25 @@ impl Absint<'_> {
         // `let t = f(acc); acc = acc + t` is loop-carried and widens,
         // while `let c = load(w, k); acc = acc + c` still summarizes.
         // Each surviving delta is evaluated at its own program point —
-        // exactly the binding environment the first iteration sees — so
-        // a let that only shadows later cannot leak into an earlier
-        // delta.
-        self.scopes.push(HashMap::new());
+        // exactly the binding environment the first iteration sees.
         self.bind(var, AVal::Int(IntRange::new(s0, e0 - 1)));
-        let mut let_reads: HashMap<String, (HashSet<String>, HashSet<String>)> = HashMap::new();
-        let mut deltas: HashMap<String, (ValueRange, Provenance)> = HashMap::new();
+        let mut let_reads: HashMap<Slot, (HashSet<Slot>, HashSet<Slot>)> = HashMap::new();
+        let mut deltas: HashMap<Slot, (ValueRange, Provenance)> = HashMap::new();
         for stmt in body {
             match stmt {
                 Stmt::Let { name, value, .. } => {
                     let reads = reads_through_lets(value, &let_reads);
-                    let v = self.eval(value);
-                    let prov = self.expr_prov(value);
-                    self.bind_with(name, v, prov);
-                    let_reads.insert(name.clone(), reads);
+                    self.eval_stmt(stmt, definite);
+                    let_reads.insert(*name, reads);
                 }
                 Stmt::Assign { name, value } => {
-                    let Some(rec) = match_recurrence(name, value) else {
+                    let Some(rec) = match_recurrence(*name, value) else {
                         continue;
                     };
                     let (vars, loads) = reads_through_lets(rec.delta, &let_reads);
-                    let independent = vars.iter().all(|v| !assigned.contains(v))
+                    let independent = vars.iter().all(|v| !assign_counts.contains_key(v))
                         && loads.iter().all(|b| !stored.contains(b))
-                        && assign_counts.get(name.as_str()).copied() == Some(1);
+                        && assign_counts.get(name).copied() == Some(1);
                     if !independent {
                         continue;
                     }
@@ -1257,23 +1156,22 @@ impl Absint<'_> {
                         d
                     };
                     let prov = self.expr_prov(rec.delta);
-                    deltas.insert(rec.name.to_owned(), (d, prov));
+                    deltas.insert(rec.slot, (d, prov));
                 }
                 _ => {}
             }
         }
-        self.scopes.pop();
 
         // Closed forms: post-state and the hull over all iterations.
         // The recurrence's provenance accumulates the delta's on top of
         // its initial value's.
         let t = trips as f64;
-        let mut finals: HashMap<String, (ValueRange, Provenance)> = HashMap::new();
-        let mut hulls: HashMap<String, (ValueRange, Provenance)> = HashMap::new();
-        for (name, (d, dprov)) in &deltas {
-            let v0 = self.lookup(name).as_float();
-            let mut prov = self.lookup_prov(name);
-            prov.sources.extend(dprov.sources.iter().cloned());
+        let mut finals: HashMap<Slot, Binding> = HashMap::new();
+        let mut hulls: HashMap<Slot, Binding> = HashMap::new();
+        for (&slot, (d, dprov)) in &deltas {
+            let v0 = self.vars[slot].val.as_float();
+            let mut prov = self.vars[slot].prov.clone();
+            prov.sources.extend(&dprov.sources);
             prov.raw = false;
             let post = ValueRange {
                 bounds: Interval::new(
@@ -1292,96 +1190,63 @@ impl Absint<'_> {
                 ),
                 mean: None,
             };
-            finals.insert(name.clone(), (post, prov.clone()));
-            hulls.insert(name.clone(), (hull, prov));
+            let bind = |v: ValueRange| Binding {
+                val: AVal::Float(v),
+                prov: prov.clone(),
+            };
+            finals.insert(slot, bind(post));
+            hulls.insert(slot, bind(hull));
         }
 
         // Pass B: walk the body once for its stores and nested effects,
         // with recurrences held at their iteration hull and every other
         // assigned variable widened to ⊤.
-        for name in &assigned {
-            match hulls.get(name.as_str()) {
-                Some((h, p)) => self.assign_with(name, AVal::Float(*h), p.clone()),
-                None => self.widen_var(name),
-            }
-        }
-        self.scopes.push(HashMap::new());
+        self.land(assign_counts.keys(), hulls);
         self.bind(var, AVal::Int(IntRange::new(s0, e0 - 1)));
         self.eval_block(body, definite);
-        self.scopes.pop();
 
         // Post-state: recurrences land on their closed forms; the rest
         // stays widened.
-        for name in &assigned {
-            match finals.get(name.as_str()) {
-                Some((f, p)) => self.assign_with(name, AVal::Float(*f), p.clone()),
-                None => self.widen_var(name),
+        self.land(assign_counts.keys(), finals);
+    }
+
+    /// Rebinds each assigned slot to its closed form, widening the slots
+    /// that have none.
+    fn land<'s>(
+        &mut self,
+        assigned: impl Iterator<Item = &'s Slot>,
+        mut forms: HashMap<Slot, Binding>,
+    ) {
+        for &slot in assigned {
+            match forms.remove(&slot) {
+                Some(b) => self.vars[slot] = b,
+                None => self.widen_var(slot),
             }
         }
     }
 }
 
-/// Variables and buffers `e` reads, expanded transitively through the
+/// Slots and buffer slots `e` reads, expanded transitively through the
 /// loop body's `let` bindings walked so far: referencing a let pulls in
-/// everything its definition (recursively) reads. The let's own name
+/// everything its definition (recursively) reads. The let's own slot
 /// stays in the set, which is harmless — independence only tests
 /// `Assign` targets and stored buffers against it.
 fn reads_through_lets(
-    e: &Expr,
-    let_reads: &HashMap<String, (HashSet<String>, HashSet<String>)>,
-) -> (HashSet<String>, HashSet<String>) {
+    e: &Expr<Slot>,
+    let_reads: &HashMap<Slot, (HashSet<Slot>, HashSet<Slot>)>,
+) -> (HashSet<Slot>, HashSet<Slot>) {
     let mut vars = HashSet::new();
-    expr_vars(e, &mut vars);
     let mut loads = HashSet::new();
-    loaded_buffers(e, &mut loads);
+    expr_reads(e, &mut vars, &mut loads);
     // Entries in `let_reads` are already fully expanded at insertion,
     // so one substitution level closes the set.
     for v in vars.clone() {
         if let Some((dv, dl)) = let_reads.get(&v) {
-            vars.extend(dv.iter().cloned());
-            loads.extend(dl.iter().cloned());
+            vars.extend(dv);
+            loads.extend(dl);
         }
     }
     (vars, loads)
-}
-
-fn count_assigns<'b>(stmts: &'b [Stmt], out: &mut HashMap<&'b str, usize>) {
-    for s in stmts {
-        match s {
-            Stmt::Assign { name, .. } => {
-                *out.entry(name.as_str()).or_insert(0) += 1;
-            }
-            Stmt::For { body, .. } => count_assigns(body, out),
-            Stmt::If {
-                then_body,
-                else_body,
-                ..
-            } => {
-                count_assigns(then_body, out);
-                count_assigns(else_body, out);
-            }
-            Stmt::Let { .. } | Stmt::Store { .. } => {}
-        }
-    }
-}
-
-/// Hulls `other`'s bindings into `scopes` (same shape by construction:
-/// both sides grew from the same pre-state and popped their inner
-/// scopes).
-fn join_scopes(scopes: &mut [HashMap<String, Binding>], other: &[HashMap<String, Binding>]) {
-    for (mine, theirs) in scopes.iter_mut().zip(other) {
-        for (name, b) in theirs {
-            match mine.get_mut(name) {
-                Some(slot) => {
-                    slot.val = slot.val.hull(b.val);
-                    slot.prov = slot.prov.join(&b.prov);
-                }
-                None => {
-                    mine.insert(name.clone(), b.clone());
-                }
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -1780,5 +1645,70 @@ mod tests {
         env.scalars.insert("n".into(), ScalarBound::Int(100));
         // i ∈ [0,3] is never > 100: the store is unreachable.
         assert!(analyze_kernel(&k, &env).is_empty());
+    }
+
+    #[test]
+    fn a_shadowed_recurrence_leaves_the_outer_variable_alone() {
+        // The loop (past the unroll cap) accumulates into an inner `x`
+        // that shadows the outer one; the outer `x` keeps its value.
+        let k = kernel("shadow")
+            .buffer("out", Precision::Double, Access::Write)
+            .body(vec![
+                let_("x", flit(1.0)),
+                for_(
+                    "k",
+                    int(0),
+                    int(40),
+                    vec![let_("x", flit(2.0)), assign("x", var("x") + flit(1.0))],
+                ),
+                store("out", int(0), var("x")),
+            ]);
+        let mut bufs = crate::interp::BufferMap::new();
+        bufs.insert("out".into(), crate::FloatVec::zeros(1, Precision::Double));
+        crate::interp::run_kernel(&k, &mut bufs, &crate::Launch::one_d(1)).unwrap();
+        let stored = bufs["out"].get(0);
+        let env = LaunchBounds {
+            global: [1, 1],
+            ..LaunchBounds::default()
+        };
+        let summaries = analyze_kernel(&k, &env);
+        assert_eq!(summaries.len(), 1);
+        let b = summaries[0].range.bounds;
+        assert!(
+            b.lo <= stored && stored <= b.hi,
+            "stored {stored} outside the analysed {b:?}"
+        );
+    }
+
+    #[test]
+    fn rejected_kernels_get_conservative_verdicts() {
+        // A unit-stride store the analyses would otherwise summarize and
+        // prove disjoint, plus an assignment to a parameter.
+        let k = |bad: bool| {
+            let mut body = vec![let_("i", global_id(0)), store("y", var("i"), flit(1.0))];
+            if bad {
+                body.push(assign("n", int(0)));
+            }
+            kernel("k")
+                .buffer("y", Precision::Double, Access::Write)
+                .int_param("n")
+                .body(body)
+        };
+        let env = LaunchBounds {
+            global: [4, 1],
+            ..LaunchBounds::default()
+        };
+        assert!(matches!(
+            crate::analysis::parallel_safety(&k(false)),
+            crate::ParallelSafety::Disjoint(_)
+        ));
+        assert_eq!(analyze_kernel(&k(false), &env).len(), 1);
+
+        assert!(crate::typeck::check_kernel(&k(true)).is_err());
+        assert!(matches!(
+            crate::analysis::parallel_safety(&k(true)),
+            crate::ParallelSafety::Unproven(_)
+        ));
+        assert!(analyze_kernel(&k(true), &env).is_empty());
     }
 }

@@ -1,10 +1,17 @@
-//! Type checking for kernels and programs.
+//! Type checking and name resolution for kernels and programs.
 //!
 //! The checker validates a kernel against its *current* parameter table, so
 //! it doubles as the post-condition of every precision-rewriting pass: a
 //! retyped or cast-inserted kernel must still check.
+//!
+//! It is also the IR's one name resolver. Checking builds a `Resolved`
+//! form: a slot table with one entry per parameter, local, loop variable
+//! and unbound use, and the kernel body with every name replaced by its
+//! slot. The VM compiler, the disjoint-write analysis, the range analysis
+//! and the verifier all index that table instead of keeping their own
+//! scopes; only the reference interpreter still resolves names itself.
 
-use crate::ast::{Expr, Kernel, Param, Program, Stmt, TypeRef};
+use crate::ast::{visit_stmts, Access, Expr, Ident, Kernel, Param, Program, Stmt, TypeRef};
 use crate::types::{Precision, ScalarType};
 use crate::value::{promote, UnaryFn};
 use core::fmt;
@@ -14,14 +21,28 @@ use std::collections::{HashMap, HashSet};
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TypeError {
     kernel: String,
-    message: String,
+    pub(crate) message: String,
+    pub(crate) cause: Cause,
+}
+
+/// What a [`TypeError`] is about, in the terms of the execution engines'
+/// typed errors.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) enum Cause {
+    /// A variable is used or assigned but bound by nothing.
+    Unbound(Ident),
+    /// A buffer position (load, store, `ElemOf`) names no buffer.
+    NotABuffer(Ident),
+    /// Any other violation.
+    Kind,
 }
 
 impl TypeError {
-    fn new(kernel: &str, message: impl Into<String>) -> TypeError {
+    fn new(kernel: &str, cause: Cause, message: impl Into<String>) -> TypeError {
         TypeError {
             kernel: kernel.to_owned(),
             message: message.into(),
+            cause,
         }
     }
 
@@ -83,7 +104,11 @@ pub fn check_program(program: &Program) -> Result<(), TypeError> {
     let mut seen = HashSet::new();
     for k in &program.kernels {
         if !seen.insert(k.name.as_str()) {
-            return Err(TypeError::new(&k.name, "duplicate kernel name in program"));
+            return Err(TypeError::new(
+                &k.name,
+                Cause::Kind,
+                "duplicate kernel name in program",
+            ));
         }
         check_kernel(k)?;
     }
@@ -94,157 +119,304 @@ pub fn check_program(program: &Program) -> Result<(), TypeError> {
 ///
 /// # Errors
 ///
-/// Returns a [`TypeError`] for: duplicate parameter names, dangling
-/// `ElemOf` references, unbound variables, loads/stores violating the
-/// declared access mode, non-integer indices or loop bounds, non-boolean
-/// conditions, booleans in arithmetic, assignment to loop variables or
-/// parameters, or redeclaration of a live local.
+/// Returns the first [`TypeError`] for: duplicate parameter names,
+/// dangling `ElemOf` references, boolean parameters, unbound variables,
+/// loads/stores violating the declared access mode, non-integer indices
+/// or loop bounds, non-boolean conditions, booleans in arithmetic,
+/// assignment to loop variables or parameters, or redeclaration of a
+/// live local.
 pub fn check_kernel(kernel: &Kernel) -> Result<(), TypeError> {
-    let mut names = HashSet::new();
-    for p in &kernel.params {
-        if !names.insert(p.name().to_owned()) {
-            return Err(TypeError::new(
-                &kernel.name,
-                format!("duplicate parameter `{}`", p.name()),
-            ));
-        }
-        if let Param::Scalar {
-            ty: TypeRef::ElemOf(buf),
-            name,
-        } = p
-        {
-            ensure_buffer(kernel, buf)
-                .map_err(|m| TypeError::new(&kernel.name, format!("parameter `{name}`: {m}")))?;
-        }
-    }
-    let mut cx = Ctx {
-        kernel,
-        scopes: vec![HashMap::new()],
-    };
-    cx.check_block(&kernel.body)
+    Resolved::checked(kernel).map(drop)
 }
 
-fn ensure_buffer(kernel: &Kernel, buf: &str) -> Result<Precision, String> {
-    match kernel.param(buf) {
-        Some(Param::Buffer { elem, .. }) => Ok(*elem),
-        Some(Param::Scalar { .. }) => Err(format!("`{buf}` is a scalar, not a buffer")),
-        None => Err(format!("unknown buffer `{buf}`")),
-    }
-}
+/// Index of a binding in [`Resolved::slots`].
+pub(crate) type Slot = usize;
 
-/// What a name means inside a kernel body.
-#[derive(Clone, Copy, Debug, PartialEq)]
-enum Binding {
-    Local(ScalarType),
+/// What a slot binds.
+#[derive(Clone, Debug, PartialEq)]
+pub(crate) enum SlotKind {
+    /// A buffer parameter.
+    Buffer(Access),
+    /// A scalar parameter, with its declared type.
+    Scalar(TypeRef<Slot>),
+    /// A `let`-declared local.
+    Local,
+    /// A loop variable.
     LoopVar,
+    /// A use of a name that nothing binds (a kernel the checker rejects).
+    Unbound,
 }
 
-struct Ctx<'k> {
-    kernel: &'k Kernel,
-    scopes: Vec<HashMap<String, Binding>>,
+/// One slot of a [`Resolved`] kernel.
+#[derive(Clone, Debug)]
+pub(crate) struct SlotInfo {
+    pub(crate) name: Ident,
+    /// The binding's type; a buffer's is its element type. Meaningful
+    /// only when the kernel checks.
+    pub(crate) ty: ScalarType,
+    pub(crate) kind: SlotKind,
 }
 
-impl Ctx<'_> {
-    fn err(&self, message: impl Into<String>) -> TypeError {
-        TypeError::new(&self.kernel.name, message)
-    }
+/// A kernel with every name resolved to a slot.
+///
+/// Parameters take slots `0..params.len()` in declaration order; every
+/// `let`, loop variable and unbound use gets a fresh slot of its own, so
+/// a shadowing `let` never shares a slot with the binding it hides.
+#[derive(Clone, Debug)]
+pub(crate) struct Resolved {
+    pub(crate) slots: Vec<SlotInfo>,
+    pub(crate) body: Vec<Stmt<Slot>>,
+    /// The first type error, in the checker's walk order.
+    pub(crate) error: Option<TypeError>,
+}
 
-    fn lookup(&self, name: &str) -> Option<Binding> {
-        for scope in self.scopes.iter().rev() {
-            if let Some(b) = scope.get(name) {
-                return Some(*b);
+impl Resolved {
+    /// Resolves every name of `kernel`, recording the first type error
+    /// but walking on, so every unbound use still gets its slot.
+    pub(crate) fn new(kernel: &Kernel) -> Resolved {
+        let mut r = Resolver {
+            kernel,
+            slots: Vec::new(),
+            scopes: vec![HashMap::new()],
+            error: None,
+        };
+        // Every parameter slot exists before any `ElemOf` resolves.
+        for p in &kernel.params {
+            match p {
+                Param::Buffer { name, elem, access } => {
+                    r.push(name, ScalarType::Float(*elem), SlotKind::Buffer(*access))
+                }
+                Param::Scalar { name, .. } => r.push(
+                    name,
+                    ScalarType::Int,
+                    SlotKind::Scalar(ScalarType::Int.into()),
+                ),
+            };
+        }
+        let mut names = HashSet::new();
+        for (slot, p) in kernel.params.iter().enumerate() {
+            if !names.insert(p.name()) {
+                r.bad(format!("duplicate parameter `{}`", p.name()));
+            }
+            if let Param::Scalar { name, ty } = p {
+                let (ty, t) = r.type_ref(ty, |m| format!("parameter `{name}`: {m}"));
+                if t == ScalarType::Bool {
+                    r.bad(format!("parameter `{name}` declares a boolean type"));
+                }
+                r.slots[slot].ty = t;
+                r.slots[slot].kind = SlotKind::Scalar(ty);
             }
         }
-        None
+        let body = r.block(&kernel.body);
+        Resolved {
+            slots: r.slots,
+            body,
+            error: r.error,
+        }
     }
 
-    fn declare(&mut self, name: &str, b: Binding) -> Result<(), TypeError> {
+    /// The resolved form of a kernel that type-checks.
+    pub(crate) fn checked(kernel: &Kernel) -> Result<Resolved, TypeError> {
+        let mut r = Resolved::new(kernel);
+        match r.error.take() {
+            Some(e) => Err(e),
+            None => Ok(r),
+        }
+    }
+
+    /// The scalar type a resolved type reference denotes.
+    pub(crate) fn ty(&self, t: &TypeRef<Slot>) -> ScalarType {
+        match t {
+            TypeRef::Concrete(t) => *t,
+            TypeRef::ElemOf(buf) => self.slots[*buf].ty,
+        }
+    }
+
+    /// The element precision of a buffer slot.
+    pub(crate) fn elem(&self, buf: Slot) -> Precision {
+        self.slots[buf].ty.precision().unwrap_or(Precision::Double)
+    }
+}
+
+/// Slots assigned (not `let`-bound) anywhere in `stmts`, nested bodies
+/// included.
+pub(crate) fn assigned_slots(stmts: &[Stmt<Slot>]) -> HashSet<Slot> {
+    let mut out = HashSet::new();
+    visit_stmts(stmts, &mut |s| {
+        if let Stmt::Assign { name, .. } = s {
+            out.insert(*name);
+        }
+    });
+    out
+}
+
+struct Resolver<'k> {
+    kernel: &'k Kernel,
+    slots: Vec<SlotInfo>,
+    scopes: Vec<HashMap<&'k str, Slot>>,
+    error: Option<TypeError>,
+}
+
+impl<'k> Resolver<'k> {
+    /// Records a type error unless an earlier one already stands.
+    fn fail(&mut self, cause: Cause, message: impl Into<String>) {
+        if self.error.is_none() {
+            self.error = Some(TypeError::new(&self.kernel.name, cause, message));
+        }
+    }
+
+    /// [`Resolver::fail`] with [`Cause::Kind`].
+    fn bad(&mut self, message: impl Into<String>) {
+        self.fail(Cause::Kind, message);
+    }
+
+    fn push(&mut self, name: &str, ty: ScalarType, kind: SlotKind) -> Slot {
+        self.slots.push(SlotInfo {
+            name: name.to_owned(),
+            ty,
+            kind,
+        });
+        self.slots.len() - 1
+    }
+
+    /// The parameter slot of `name`, else a fresh unbound slot.
+    fn param(&mut self, name: &str) -> Slot {
+        match self.kernel.params.iter().position(|p| p.name() == name) {
+            Some(slot) => slot,
+            None => self.push(
+                name,
+                ScalarType::Float(Precision::Double),
+                SlotKind::Unbound,
+            ),
+        }
+    }
+
+    /// Innermost local or loop variable named `name`, else its parameter,
+    /// else a fresh unbound slot.
+    fn lookup(&mut self, name: &str) -> Slot {
+        match self.scopes.iter().rev().find_map(|s| s.get(name)) {
+            Some(&slot) => slot,
+            None => self.param(name),
+        }
+    }
+
+    fn declare(&mut self, name: &'k str, ty: ScalarType, kind: SlotKind) -> Slot {
         if self.kernel.param(name).is_some() {
-            return Err(self.err(format!("`{name}` shadows a kernel parameter")));
+            self.bad(format!("`{name}` shadows a kernel parameter"));
         }
-        if self.scopes.is_empty() {
-            self.scopes.push(HashMap::new());
-        }
+        let slot = self.push(name, ty, kind);
         let top = self.scopes.len() - 1;
-        let scope = &mut self.scopes[top];
-        if scope.insert(name.to_owned(), b).is_some() {
-            return Err(self.err(format!("redeclaration of `{name}` in the same scope")));
+        if self.scopes[top].insert(name, slot).is_some() {
+            self.bad(format!("redeclaration of `{name}` in the same scope"));
         }
-        Ok(())
+        slot
     }
 
-    fn check_block(&mut self, stmts: &[Stmt]) -> Result<(), TypeError> {
-        for s in stmts {
-            self.check_stmt(s)?;
+    /// Resolves a buffer reference; `context` words the error when `buf`
+    /// is not a buffer parameter.
+    fn buffer(&mut self, buf: &str, context: impl FnOnce(String) -> String) -> Slot {
+        let slot = self.param(buf);
+        match self.slots[slot].kind {
+            SlotKind::Buffer(_) => {}
+            SlotKind::Scalar(_) => self.fail(
+                Cause::NotABuffer(buf.to_owned()),
+                context(format!("`{buf}` is a scalar, not a buffer")),
+            ),
+            _ => self.fail(
+                Cause::NotABuffer(buf.to_owned()),
+                context(format!("unknown buffer `{buf}`")),
+            ),
         }
-        Ok(())
+        slot
     }
 
-    fn scoped(
+    fn type_ref(
         &mut self,
-        f: impl FnOnce(&mut Self) -> Result<(), TypeError>,
-    ) -> Result<(), TypeError> {
-        self.scopes.push(HashMap::new());
-        let r = f(self);
-        self.scopes.pop();
-        r
+        ty: &TypeRef,
+        context: impl FnOnce(String) -> String,
+    ) -> (TypeRef<Slot>, ScalarType) {
+        match ty {
+            TypeRef::Concrete(t) => (TypeRef::Concrete(*t), *t),
+            TypeRef::ElemOf(buf) => {
+                let slot = self.buffer(buf, context);
+                (TypeRef::ElemOf(slot), self.slots[slot].ty)
+            }
+        }
     }
 
-    fn check_stmt(&mut self, stmt: &Stmt) -> Result<(), TypeError> {
+    fn block(&mut self, stmts: &'k [Stmt]) -> Vec<Stmt<Slot>> {
+        stmts.iter().map(|s| self.stmt(s)).collect()
+    }
+
+    fn scoped(&mut self, stmts: &'k [Stmt]) -> Vec<Stmt<Slot>> {
+        self.scopes.push(HashMap::new());
+        let body = self.block(stmts);
+        self.scopes.pop();
+        body
+    }
+
+    fn stmt(&mut self, stmt: &'k Stmt) -> Stmt<Slot> {
         match stmt {
             Stmt::Let { name, ty, value } => {
-                let vt = self.infer(value)?;
+                let (value, vt) = self.infer(value);
                 if !vt.is_numeric() {
-                    return Err(self.err(format!("local `{name}` initialized with a boolean")));
+                    self.bad(format!("local `{name}` initialized with a boolean"));
                 }
-                let declared = match ty {
-                    Some(TypeRef::Concrete(t)) => *t,
-                    Some(TypeRef::ElemOf(buf)) => {
-                        let p = ensure_buffer(self.kernel, buf)
-                            .map_err(|m| self.err(format!("local `{name}`: {m}")))?;
-                        ScalarType::Float(p)
+                let (ty, declared) = match ty {
+                    Some(t) => {
+                        let (t, declared) = self.type_ref(t, |m| format!("local `{name}`: {m}"));
+                        (Some(t), declared)
                     }
-                    None => vt.resolved(),
+                    None => (None, vt.resolved()),
                 };
-                self.declare(name, Binding::Local(declared))
+                let name = self.declare(name, declared, SlotKind::Local);
+                Stmt::Let { name, ty, value }
             }
             Stmt::Assign { name, value } => {
-                let vt = self.infer(value)?;
-                match self.lookup(name) {
-                    Some(Binding::Local(t)) => {
-                        if t == ScalarType::Bool || !vt.is_numeric() {
-                            return Err(
-                                self.err(format!("assignment to `{name}` mixes bool and number"))
-                            );
-                        }
-                        Ok(())
-                    }
-                    Some(Binding::LoopVar) => {
-                        Err(self.err(format!("cannot assign to loop variable `{name}`")))
-                    }
-                    None => {
-                        if self.kernel.param(name).is_some() {
-                            Err(self.err(format!("cannot assign to parameter `{name}`")))
-                        } else {
-                            Err(self.err(format!("assignment to undeclared `{name}`")))
+                let (value, vt) = self.infer(value);
+                let slot = self.lookup(name);
+                let target = &self.slots[slot];
+                match target.kind {
+                    SlotKind::Local => {
+                        if target.ty == ScalarType::Bool || !vt.is_numeric() {
+                            self.bad(format!("assignment to `{name}` mixes bool and number"));
                         }
                     }
+                    SlotKind::LoopVar => {
+                        self.bad(format!("cannot assign to loop variable `{name}`"));
+                    }
+                    SlotKind::Buffer(_) | SlotKind::Scalar(_) => {
+                        self.bad(format!("cannot assign to parameter `{name}`"));
+                    }
+                    SlotKind::Unbound => self.fail(
+                        Cause::Unbound(name.clone()),
+                        format!("assignment to undeclared `{name}`"),
+                    ),
                 }
+                Stmt::Assign { name: slot, value }
             }
             Stmt::Store { buf, index, value } => {
-                match self.kernel.param(buf) {
-                    Some(Param::Buffer { access, .. }) if access.writable() => {}
-                    Some(Param::Buffer { .. }) => {
-                        return Err(self.err(format!("store to read-only buffer `{buf}`")))
+                let slot = self.param(buf);
+                match self.slots[slot].kind {
+                    SlotKind::Buffer(access) if access.writable() => {}
+                    SlotKind::Buffer(_) => {
+                        self.bad(format!("store to read-only buffer `{buf}`"));
                     }
-                    _ => return Err(self.err(format!("store to unknown buffer `{buf}`"))),
+                    _ => self.fail(
+                        Cause::NotABuffer(buf.clone()),
+                        format!("store to unknown buffer `{buf}`"),
+                    ),
                 }
-                self.expect_int(index, "store index")?;
-                let vt = self.infer(value)?;
+                let index = self.expect_int(index, "store index");
+                let (value, vt) = self.infer(value);
                 if !vt.is_numeric() {
-                    return Err(self.err(format!("storing a boolean into `{buf}`")));
+                    self.bad(format!("storing a boolean into `{buf}`"));
                 }
-                Ok(())
+                Stmt::Store {
+                    buf: slot,
+                    index,
+                    value,
+                }
             }
             Stmt::For {
                 var,
@@ -252,148 +424,160 @@ impl Ctx<'_> {
                 end,
                 body,
             } => {
-                self.expect_int(start, "loop start")?;
-                self.expect_int(end, "loop end")?;
-                self.scoped(|cx| {
-                    cx.declare(var, Binding::LoopVar)?;
-                    cx.check_block(body)
-                })
+                let start = self.expect_int(start, "loop start");
+                let end = self.expect_int(end, "loop end");
+                self.scopes.push(HashMap::new());
+                let var = self.declare(var, ScalarType::Int, SlotKind::LoopVar);
+                let body = self.block(body);
+                self.scopes.pop();
+                Stmt::For {
+                    var,
+                    start,
+                    end,
+                    body,
+                }
             }
             Stmt::If {
                 cond,
                 then_body,
                 else_body,
             } => {
-                let ct = self.infer(cond)?;
+                let (cond, ct) = self.infer(cond);
                 if ct != InferTy::Known(ScalarType::Bool) {
-                    return Err(self.err("if condition is not a boolean"));
+                    self.bad("if condition is not a boolean");
                 }
-                self.scoped(|cx| cx.check_block(then_body))?;
-                self.scoped(|cx| cx.check_block(else_body))
+                Stmt::If {
+                    cond,
+                    then_body: self.scoped(then_body),
+                    else_body: self.scoped(else_body),
+                }
             }
         }
     }
 
-    fn expect_int(&mut self, e: &Expr, what: &str) -> Result<(), TypeError> {
-        match self.infer(e)? {
-            InferTy::Known(ScalarType::Int) => Ok(()),
-            other => Err(self.err(format!("{what} must be an integer, found {other:?}"))),
+    fn expect_int(&mut self, e: &'k Expr, what: &str) -> Expr<Slot> {
+        let (e, t) = self.infer(e);
+        if t != InferTy::Known(ScalarType::Int) {
+            self.bad(format!("{what} must be an integer, found {t:?}"));
         }
+        e
     }
 
-    fn infer(&mut self, e: &Expr) -> Result<InferTy, TypeError> {
+    fn boxed(&mut self, e: &'k Expr) -> (Box<Expr<Slot>>, InferTy) {
+        let (e, t) = self.infer(e);
+        (Box::new(e), t)
+    }
+
+    fn infer(&mut self, e: &'k Expr) -> (Expr<Slot>, InferTy) {
+        use InferTy::Known;
         match e {
-            Expr::FloatConst(_) => Ok(InferTy::WeakFloat),
-            Expr::IntConst(_) => Ok(InferTy::Known(ScalarType::Int)),
+            Expr::FloatConst(v) => (Expr::FloatConst(*v), InferTy::WeakFloat),
+            Expr::IntConst(v) => (Expr::IntConst(*v), Known(ScalarType::Int)),
             Expr::GlobalId(dim) => {
                 if *dim > 2 {
-                    return Err(self.err(format!("get_global_id({dim}) exceeds 3 dimensions")));
+                    self.bad(format!("get_global_id({dim}) exceeds 3 dimensions"));
                 }
-                Ok(InferTy::Known(ScalarType::Int))
+                (Expr::GlobalId(*dim), Known(ScalarType::Int))
             }
             Expr::Var(name) => {
-                if let Some(b) = self.lookup(name) {
-                    return Ok(match b {
-                        Binding::Local(t) => InferTy::Known(t),
-                        Binding::LoopVar => InferTy::Known(ScalarType::Int),
-                    });
+                let slot = self.lookup(name);
+                match self.slots[slot].kind {
+                    SlotKind::Buffer(_) => self.fail(
+                        Cause::Unbound(name.clone()),
+                        format!("buffer `{name}` used as a scalar"),
+                    ),
+                    SlotKind::Unbound => self.fail(
+                        Cause::Unbound(name.clone()),
+                        format!("unbound variable `{name}`"),
+                    ),
+                    _ => {}
                 }
-                match self.kernel.param(name) {
-                    Some(Param::Scalar { ty, .. }) => {
-                        self.kernel.resolve(ty).map(InferTy::Known).ok_or_else(|| {
-                            self.err(format!("parameter `{name}` has a dangling element type"))
-                        })
-                    }
-                    Some(Param::Buffer { .. }) => {
-                        Err(self.err(format!("buffer `{name}` used as a scalar")))
-                    }
-                    None => Err(self.err(format!("unbound variable `{name}`"))),
-                }
+                (Expr::Var(slot), Known(self.slots[slot].ty))
             }
-            Expr::Load { buf, index } => match self.kernel.param(buf) {
-                Some(Param::Buffer { access, elem, .. }) => {
-                    if !access.readable() {
-                        return Err(self.err(format!("load from write-only buffer `{buf}`")));
+            Expr::Load { buf, index } => {
+                let slot = self.param(buf);
+                match self.slots[slot].kind {
+                    SlotKind::Buffer(access) if !access.readable() => {
+                        self.bad(format!("load from write-only buffer `{buf}`"));
                     }
-                    self.expect_int(index, "load index")?;
-                    Ok(InferTy::Known(ScalarType::Float(*elem)))
+                    SlotKind::Buffer(_) => {}
+                    _ => self.fail(
+                        Cause::NotABuffer(buf.clone()),
+                        format!("load from unknown buffer `{buf}`"),
+                    ),
                 }
-                _ => Err(self.err(format!("load from unknown buffer `{buf}`"))),
-            },
+                let index = Box::new(self.expect_int(index, "load index"));
+                let t = Known(self.slots[slot].ty);
+                (Expr::Load { buf: slot, index }, t)
+            }
             Expr::Unary { op, arg } => {
-                let at = self.infer(arg)?;
+                let (arg, at) = self.boxed(arg);
                 if !at.is_numeric() {
-                    return Err(self.err("math function applied to a boolean"));
+                    self.bad("math function applied to a boolean");
                 }
-                match op {
-                    UnaryFn::Neg | UnaryFn::Fabs => Ok(at),
+                let t = match (op, at) {
                     // sqrt/exp/log of an int computes in double.
-                    _ => Ok(match at {
-                        InferTy::Known(ScalarType::Int) => {
-                            InferTy::Known(ScalarType::Float(Precision::Double))
-                        }
-                        other => other,
-                    }),
-                }
+                    (UnaryFn::Neg | UnaryFn::Fabs, _) => at,
+                    (_, Known(ScalarType::Int)) => Known(ScalarType::Float(Precision::Double)),
+                    (_, other) => other,
+                };
+                (Expr::Unary { op: *op, arg }, t)
             }
-            Expr::Bin { lhs, rhs, .. } => {
-                let lt = self.infer(lhs)?;
-                let rt = self.infer(rhs)?;
-                self.promote(lt, rt)
+            Expr::Bin { op, lhs, rhs } => {
+                let (lhs, lt) = self.boxed(lhs);
+                let (rhs, rt) = self.boxed(rhs);
+                let t = self.promote(lt, rt);
+                (Expr::Bin { op: *op, lhs, rhs }, t)
             }
-            Expr::Cmp { lhs, rhs, .. } => {
-                let lt = self.infer(lhs)?;
-                let rt = self.infer(rhs)?;
-                self.promote(lt, rt)?; // validates numeric operands
-                Ok(InferTy::Known(ScalarType::Bool))
+            Expr::Cmp { op, lhs, rhs } => {
+                let (lhs, lt) = self.boxed(lhs);
+                let (rhs, rt) = self.boxed(rhs);
+                self.promote(lt, rt); // validates numeric operands
+                (Expr::Cmp { op: *op, lhs, rhs }, Known(ScalarType::Bool))
             }
             Expr::Cast { to, arg } => {
-                let at = self.infer(arg)?;
+                let (arg, at) = self.boxed(arg);
                 if !at.is_numeric() {
-                    return Err(self.err("cast applied to a boolean"));
+                    self.bad("cast applied to a boolean");
                 }
-                let target = match to {
-                    TypeRef::Concrete(ScalarType::Bool) => {
-                        return Err(self.err("cast to bool is not allowed"))
-                    }
-                    TypeRef::Concrete(t) => *t,
-                    TypeRef::ElemOf(buf) => {
-                        ScalarType::Float(ensure_buffer(self.kernel, buf).map_err(|m| self.err(m))?)
-                    }
-                };
-                Ok(InferTy::Known(target))
+                if *to == TypeRef::Concrete(ScalarType::Bool) {
+                    self.bad("cast to bool is not allowed");
+                }
+                let (to, t) = self.type_ref(to, |m| m);
+                (Expr::Cast { to, arg }, Known(t))
             }
             Expr::Select { cond, then, els } => {
-                if self.infer(cond)? != InferTy::Known(ScalarType::Bool) {
-                    return Err(self.err("select condition is not a boolean"));
+                let (cond, ct) = self.boxed(cond);
+                if ct != Known(ScalarType::Bool) {
+                    self.bad("select condition is not a boolean");
                 }
-                let tt = self.infer(then)?;
-                let et = self.infer(els)?;
+                let (then, tt) = self.boxed(then);
+                let (els, et) = self.boxed(els);
                 // Arms must agree in kind (both integer or both float):
                 // a mixed select would need a branch-dependent conversion.
-                let int_arm = |t: InferTy| t == InferTy::Known(ScalarType::Int);
+                let int_arm = |t: InferTy| t == Known(ScalarType::Int);
                 if int_arm(tt) != int_arm(et) {
-                    return Err(self.err("select arms mix integer and float"));
+                    self.bad("select arms mix integer and float");
                 }
-                self.promote(tt, et)
+                let t = self.promote(tt, et);
+                (Expr::Select { cond, then, els }, t)
             }
         }
     }
 
-    fn promote(&self, a: InferTy, b: InferTy) -> Result<InferTy, TypeError> {
+    fn promote(&mut self, a: InferTy, b: InferTy) -> InferTy {
         use InferTy::{Known, WeakFloat};
         use ScalarType::{Bool, Float, Int};
         match (a, b) {
-            (Known(Bool), _) | (_, Known(Bool)) => Err(self.err("boolean operand in arithmetic")),
-            (Known(x), Known(y)) => Ok(Known(
-                promote(x.precision(), y.precision()).map_or(Int, Float),
-            )),
-            (WeakFloat, Known(Float(x))) | (Known(Float(x)), WeakFloat) => Ok(Known(Float(x))),
-            // A weak literal against an int computes in double (C rules).
-            (WeakFloat, Known(Int)) | (Known(Int), WeakFloat) => {
-                Ok(Known(Float(Precision::Double)))
+            (Known(Bool), _) | (_, Known(Bool)) => {
+                self.bad("boolean operand in arithmetic");
+                Known(Float(Precision::Double))
             }
-            (WeakFloat, WeakFloat) => Ok(WeakFloat),
+            (Known(x), Known(y)) => Known(promote(x.precision(), y.precision()).map_or(Int, Float)),
+            (WeakFloat, Known(Float(x))) | (Known(Float(x)), WeakFloat) => Known(Float(x)),
+            // A weak literal against an int computes in double (C rules).
+            (WeakFloat, Known(Int)) | (Known(Int), WeakFloat) => Known(Float(Precision::Double)),
+            (WeakFloat, WeakFloat) => WeakFloat,
         }
     }
 }
@@ -546,5 +730,54 @@ mod tests {
             ),
         ]);
         check_kernel(&k).unwrap();
+    }
+
+    #[test]
+    fn shadowing_lets_and_reused_loop_names_get_fresh_slots() {
+        // Parameters are slots 0..4: a, c, n, alpha.
+        let k = simple_kernel(vec![
+            let_("x", flit(0.0)), // slot 4
+            for_(
+                "i", // slot 5
+                int(0),
+                var("n"),
+                vec![
+                    let_ty("x", Precision::Single, var("x")), // slot 6, reads 4
+                    assign("x", var("x") + flit(1.0)),        // 6 = 6 + 1
+                    for_("i", int(0), int(2), vec![assign("x", var("x"))]), // slot 7
+                ],
+            ),
+            store("c", int(0), var("x")), // reads 4
+        ]);
+        let r = Resolved::checked(&k).unwrap();
+        let slots: Vec<_> = r
+            .slots
+            .iter()
+            .map(|s| (s.name.as_str(), s.ty, s.kind.clone()))
+            .collect();
+        let f = |p| ScalarType::Float(p);
+        assert_eq!(
+            slots[4..],
+            [
+                ("x", f(Precision::Double), SlotKind::Local),
+                ("i", ScalarType::Int, SlotKind::LoopVar),
+                ("x", f(Precision::Single), SlotKind::Local),
+                ("i", ScalarType::Int, SlotKind::LoopVar),
+            ]
+        );
+        let (mut defs, mut uses) = (Vec::new(), Vec::new());
+        crate::ast::visit_stmts(&r.body, &mut |s| match s {
+            Stmt::Let { name, .. } | Stmt::Assign { name, .. } | Stmt::For { var: name, .. } => {
+                defs.push(*name);
+            }
+            _ => {}
+        });
+        crate::ast::visit_exprs(&r.body, &mut |e| {
+            if let Expr::Var(s) = e {
+                uses.push(*s);
+            }
+        });
+        assert_eq!(defs, [4, 5, 6, 6, 7, 6]);
+        assert_eq!(uses, [2, 4, 6, 6, 4]);
     }
 }

@@ -2,21 +2,22 @@
 //! diagnostics instead of a first-error abort.
 //!
 //! The type checker ([`crate::typeck`]) answers "can this kernel run?"
-//! and stops at the first violation. The verifier answers "is this
-//! kernel *well-formed*?": it walks the whole kernel, collects every
-//! finding, and classifies each one with a severity, so a runtime can
-//! refuse to compile genuinely broken kernels ([`Severity::Error`])
-//! while merely reporting suspicious-but-runnable shapes
-//! ([`Severity::Warning`]). `ocl::Session` runs it on every scaled
-//! kernel variant before handing it to the compiler, and the
-//! `prescaler-verify` check runs it over the whole polybench suite,
-//! where zero diagnostics of any severity are expected.
+//! and reports the first violation. The verifier answers "is this
+//! kernel *well-formed*?": it walks the checker's slot-resolved body,
+//! collects every finding, and classifies each one with a severity, so a
+//! runtime can refuse to compile genuinely broken kernels
+//! ([`Severity::Error`]) while merely reporting suspicious-but-runnable
+//! shapes ([`Severity::Warning`]). `ocl::Session` runs [`admit`] (or
+//! [`crate::vm::compile_admitted`]) on every new scaled kernel variant,
+//! and the `prescaler-verify` check runs [`verify_kernel`] over the
+//! whole polybench suite, where zero diagnostics of any severity are
+//! expected.
 
-use crate::ast::{Expr, Kernel, Param, Program, Stmt, TypeRef};
-use crate::typeck::check_kernel;
+use crate::ast::{visit_expr, Expr, Kernel, Program, Stmt, TypeRef};
+use crate::typeck::{Resolved, Slot, SlotKind, TypeError};
 use crate::value::FloatBinOp;
 use core::fmt;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 
 /// How bad a [`VerifyDiagnostic`] is.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -40,7 +41,7 @@ pub enum VerifyDiagnostic {
         name: String,
     },
     /// The kernel violates the type system (the verifier bridges
-    /// [`check_kernel`] findings that no more specific diagnostic
+    /// [`crate::typeck::check_kernel`] findings that no more specific diagnostic
     /// explains).
     TypeClash {
         /// Kernel name.
@@ -157,44 +158,78 @@ pub fn verify_program(program: &Program) -> Vec<VerifyDiagnostic> {
 /// Verifies one kernel, returning *all* findings (empty = clean).
 #[must_use]
 pub fn verify_kernel(kernel: &Kernel) -> Vec<VerifyDiagnostic> {
-    let mut v = Verifier {
-        kernel,
-        diagnostics: Vec::new(),
-        scopes: vec![HashSet::new()],
-        used_params: HashSet::new(),
-    };
-    // Parameters can reference each other through `ElemOf` element
-    // types; that anchors the referenced buffer and counts as a use.
-    for p in &kernel.params {
-        if let Param::Scalar {
-            ty: TypeRef::ElemOf(buf),
-            ..
-        } = p
-        {
-            v.used_params.insert(buf.clone());
-        }
-    }
-    v.walk_block(&kernel.body);
-    for p in &kernel.params {
-        if !v.used_params.contains(p.name()) {
-            v.diagnostics.push(VerifyDiagnostic::UnusedParam {
+    let r = Resolved::new(kernel);
+    let mut diagnostics = diagnose(kernel, &r);
+    // Bridge the type checker: anything it rejects that no structural
+    // diagnostic already explains surfaces as a TypeClash, so the
+    // verifier never passes a kernel the compiler would refuse.
+    if let Some(e) = r.error {
+        if !diagnostics.iter().any(|d| d.severity() == Severity::Error) {
+            diagnostics.push(VerifyDiagnostic::TypeClash {
                 kernel: kernel.name.clone(),
-                param: p.name().to_owned(),
+                detail: e.to_string(),
             });
         }
     }
-    // Bridge the type checker: anything it rejects that no structural
-    // diagnostic above already explains surfaces as a TypeClash, so the
-    // verifier never passes a kernel the compiler would refuse.
-    if let Err(e) = check_kernel(kernel) {
-        let already_fatal = v
-            .diagnostics
-            .iter()
-            .any(|d| d.severity() == Severity::Error);
-        if !already_fatal {
-            v.diagnostics.push(VerifyDiagnostic::TypeClash {
+    diagnostics
+}
+
+/// Why [`admit`] refuses a kernel.
+#[derive(Clone, Debug, PartialEq)]
+pub enum Refusal {
+    /// The kernel fails the type checker; this takes precedence.
+    Type(TypeError),
+    /// The kernel type-checks but carries Error-severity diagnostics.
+    Diagnostics(Vec<VerifyDiagnostic>),
+}
+
+/// Type-checks and verifies a kernel from one name resolution: refuses
+/// it on a type error first, then on any Error-severity diagnostic.
+/// Warnings (dead stores, unused params) pass.
+///
+/// # Errors
+///
+/// Returns the [`Refusal`].
+pub fn admit(kernel: &Kernel) -> Result<(), Refusal> {
+    admitted(kernel).map(drop)
+}
+
+/// [`admit`], keeping the resolved form for compilation.
+pub(crate) fn admitted(kernel: &Kernel) -> Result<Resolved, Refusal> {
+    let r = Resolved::checked(kernel).map_err(Refusal::Type)?;
+    let errors: Vec<VerifyDiagnostic> = diagnose(kernel, &r)
+        .into_iter()
+        .filter(|d| d.severity() == Severity::Error)
+        .collect();
+    if errors.is_empty() {
+        Ok(r)
+    } else {
+        Err(Refusal::Diagnostics(errors))
+    }
+}
+
+/// The structural findings of a resolved kernel, in walk order, with the
+/// unused parameters last.
+fn diagnose(kernel: &Kernel, r: &Resolved) -> Vec<VerifyDiagnostic> {
+    let mut v = Verifier {
+        kernel: &kernel.name,
+        r,
+        diagnostics: Vec::new(),
+        used: vec![false; r.slots.len()],
+    };
+    // Parameters can reference each other through `ElemOf` element
+    // types; that anchors the referenced buffer and counts as a use.
+    for s in &r.slots {
+        if let SlotKind::Scalar(TypeRef::ElemOf(buf)) = s.kind {
+            v.used[buf] = true;
+        }
+    }
+    v.walk_block(&r.body);
+    for (slot, p) in kernel.params.iter().enumerate() {
+        if !v.used[slot] {
+            v.diagnostics.push(VerifyDiagnostic::UnusedParam {
                 kernel: kernel.name.clone(),
-                detail: e.to_string(),
+                param: p.name().to_owned(),
             });
         }
     }
@@ -202,16 +237,17 @@ pub fn verify_kernel(kernel: &Kernel) -> Vec<VerifyDiagnostic> {
 }
 
 struct Verifier<'k> {
-    kernel: &'k Kernel,
+    kernel: &'k str,
+    r: &'k Resolved,
     diagnostics: Vec<VerifyDiagnostic>,
-    /// Lexical scopes of locals and loop variables.
-    scopes: Vec<HashSet<String>>,
-    used_params: HashSet<String>,
+    /// Per slot: referenced by the body (only parameters' entries are
+    /// read).
+    used: Vec<bool>,
 }
 
 /// Evaluates an integer-constant expression (literals and arithmetic on
 /// literals); `None` for anything runtime-dependent.
-fn const_int(e: &Expr) -> Option<i64> {
+fn const_int<N>(e: &Expr<N>) -> Option<i64> {
     match e {
         Expr::IntConst(v) => Some(*v),
         Expr::Unary {
@@ -232,37 +268,30 @@ fn const_int(e: &Expr) -> Option<i64> {
     }
 }
 
+/// Whether evaluating `e` loads from buffer `buf`.
+fn reads_buffer(e: &Expr<Slot>, buf: Slot) -> bool {
+    let mut found = false;
+    visit_expr(e, &mut |x| {
+        found |= matches!(x, Expr::Load { buf: b, .. } if *b == buf);
+    });
+    found
+}
+
 impl Verifier<'_> {
     fn diag(&mut self, d: VerifyDiagnostic) {
         self.diagnostics.push(d);
     }
 
     fn name(&self) -> String {
-        self.kernel.name.clone()
+        self.kernel.to_owned()
     }
 
-    fn bound(&self, name: &str) -> bool {
-        self.scopes.iter().any(|s| s.contains(name))
-    }
-
-    fn declare(&mut self, name: &str) {
-        if let Some(top) = self.scopes.last_mut() {
-            top.insert(name.to_owned());
-        }
-    }
-
-    fn scoped(&mut self, f: impl FnOnce(&mut Self)) {
-        self.scopes.push(HashSet::new());
-        f(self);
-        self.scopes.pop();
-    }
-
-    fn walk_block(&mut self, stmts: &[Stmt]) {
+    fn walk_block(&mut self, stmts: &[Stmt<Slot>]) {
         // Straight-line dead-store scan: a pending store to a constant
         // index dies if the same (buffer, index) is stored again before
         // any read of that buffer. Control flow and dynamic indices
         // conservatively clear the pending set.
-        let mut pending: HashMap<(String, i64), ()> = HashMap::new();
+        let mut pending: HashSet<(Slot, i64)> = HashSet::new();
         for s in stmts {
             match s {
                 Stmt::Store { buf, index, value } => {
@@ -270,24 +299,22 @@ impl Verifier<'_> {
                     // buffer, not just the one being written — happen
                     // before the write lands and keep earlier stores
                     // to the read buffer alive.
-                    pending.retain(|(b, _), ()| {
-                        !self.reads_buffer(index, b) && !self.reads_buffer(value, b)
-                    });
+                    pending.retain(|&(b, _)| !reads_buffer(index, b) && !reads_buffer(value, b));
                     if let Some(i) = const_int(index) {
-                        if pending.insert((buf.clone(), i), ()).is_some() {
+                        if !pending.insert((*buf, i)) {
                             self.diag(VerifyDiagnostic::DeadStore {
                                 kernel: self.name(),
-                                buf: buf.clone(),
+                                buf: self.r.slots[*buf].name.clone(),
                                 index: i,
                             });
                         }
                     } else {
                         // A dynamic store may alias any pending index.
-                        pending.retain(|(b, _), ()| b != buf);
+                        pending.retain(|(b, _)| b != buf);
                     }
                 }
                 Stmt::Let { value, .. } | Stmt::Assign { value, .. } => {
-                    pending.retain(|(b, _), ()| !self.reads_buffer(value, b));
+                    pending.retain(|&(b, _)| !reads_buffer(value, b));
                 }
                 Stmt::For { .. } | Stmt::If { .. } => pending.clear(),
             }
@@ -295,71 +322,48 @@ impl Verifier<'_> {
         }
     }
 
-    /// Whether evaluating `e` loads from buffer `buf`.
-    fn reads_buffer(&self, e: &Expr, buf: &str) -> bool {
-        let mut found = false;
-        visit(e, &mut |x| {
-            if let Expr::Load { buf: b, .. } = x {
-                if b == buf {
-                    found = true;
-                }
-            }
-        });
-        found
-    }
-
-    fn walk_stmt(&mut self, stmt: &Stmt) {
+    fn walk_stmt(&mut self, stmt: &Stmt<Slot>) {
         match stmt {
-            Stmt::Let { name, ty, value } => {
+            Stmt::Let { ty, value, .. } => {
                 if let Some(TypeRef::ElemOf(buf)) = ty {
-                    self.used_params.insert(buf.clone());
+                    self.used[*buf] = true;
                 }
                 self.walk_expr(value);
-                self.declare(name);
             }
             Stmt::Assign { name, value } => {
                 self.walk_expr(value);
-                if !self.bound(name) && self.kernel.param(name).is_none() {
+                if self.r.slots[*name].kind == SlotKind::Unbound {
                     self.diag(VerifyDiagnostic::UnboundVar {
                         kernel: self.name(),
-                        name: name.clone(),
+                        name: self.r.slots[*name].name.clone(),
                     });
                 }
             }
             Stmt::Store { buf, index, value } => {
-                match self.kernel.param(buf) {
-                    Some(Param::Buffer { .. }) => {
-                        self.used_params.insert(buf.clone());
-                        if let Some(i) = const_int(index) {
-                            if i < 0 {
-                                self.diag(VerifyDiagnostic::OobConstIndex {
-                                    kernel: self.name(),
-                                    buf: buf.clone(),
-                                    index: i,
-                                });
-                            }
-                        }
+                if let SlotKind::Buffer(_) = self.r.slots[*buf].kind {
+                    self.used[*buf] = true;
+                    if let Some(i) = const_int(index).filter(|i| *i < 0) {
+                        self.diag(VerifyDiagnostic::OobConstIndex {
+                            kernel: self.name(),
+                            buf: self.r.slots[*buf].name.clone(),
+                            index: i,
+                        });
                     }
-                    _ => self.diag(VerifyDiagnostic::NonBufferStore {
+                } else {
+                    self.diag(VerifyDiagnostic::NonBufferStore {
                         kernel: self.name(),
-                        name: buf.clone(),
-                    }),
+                        name: self.r.slots[*buf].name.clone(),
+                    });
                 }
                 self.walk_expr(index);
                 self.walk_expr(value);
             }
             Stmt::For {
-                var,
-                start,
-                end,
-                body,
+                start, end, body, ..
             } => {
                 self.walk_expr(start);
                 self.walk_expr(end);
-                self.scoped(|v| {
-                    v.declare(var);
-                    v.walk_block(body);
-                });
+                self.walk_block(body);
             }
             Stmt::If {
                 cond,
@@ -367,80 +371,45 @@ impl Verifier<'_> {
                 else_body,
             } => {
                 self.walk_expr(cond);
-                self.scoped(|v| v.walk_block(then_body));
-                self.scoped(|v| v.walk_block(else_body));
+                self.walk_block(then_body);
+                self.walk_block(else_body);
             }
         }
     }
 
-    fn walk_expr(&mut self, e: &Expr) {
-        let mut unbound: Vec<String> = Vec::new();
-        let mut oob: Vec<(String, i64)> = Vec::new();
-        visit(e, &mut |x| match x {
-            Expr::Var(name) => {
-                if self.bound(name) {
-                    return;
-                }
-                match self.kernel.param(name.as_str()) {
-                    Some(_) => {
-                        // Both scalar use and (invalid) buffer-as-scalar
-                        // use reference the parameter; the latter also
-                        // trips the TypeClash bridge.
-                        self.used_params.insert(name.clone());
-                    }
-                    None => unbound.push(name.clone()),
-                }
-            }
-            Expr::Load { buf, index } => {
-                if self.kernel.param(buf.as_str()).is_some() {
-                    self.used_params.insert(buf.clone());
-                }
-                if let Some(i) = const_int(index) {
-                    if i < 0 {
-                        oob.push((buf.clone(), i));
-                    }
-                }
-            }
-            Expr::Cast {
-                to: TypeRef::ElemOf(buf),
+    fn walk_expr(&mut self, e: &Expr<Slot>) {
+        let mut unbound = Vec::new();
+        let mut oob = Vec::new();
+        visit_expr(e, &mut |x| match x {
+            // Both scalar use and (invalid) buffer-as-scalar use
+            // reference the parameter; the latter also trips the
+            // TypeClash bridge.
+            Expr::Var(s) if self.r.slots[*s].kind == SlotKind::Unbound => unbound.push(*s),
+            Expr::Var(s)
+            | Expr::Cast {
+                to: TypeRef::ElemOf(s),
                 ..
-            } => {
-                self.used_params.insert(buf.clone());
+            } => self.used[*s] = true,
+            Expr::Load { buf, index } => {
+                self.used[*buf] = true;
+                if let Some(i) = const_int(index).filter(|i| *i < 0) {
+                    oob.push((*buf, i));
+                }
             }
             _ => {}
         });
-        for name in unbound {
+        for s in unbound {
             self.diag(VerifyDiagnostic::UnboundVar {
                 kernel: self.name(),
-                name,
+                name: self.r.slots[s].name.clone(),
             });
         }
         for (buf, index) in oob {
             self.diag(VerifyDiagnostic::OobConstIndex {
                 kernel: self.name(),
-                buf,
+                buf: self.r.slots[buf].name.clone(),
                 index,
             });
-        }
-    }
-}
-
-/// Depth-first expression visitor (including sub-expressions of loads,
-/// casts, and selects).
-fn visit(e: &Expr, f: &mut impl FnMut(&Expr)) {
-    f(e);
-    match e {
-        Expr::FloatConst(_) | Expr::IntConst(_) | Expr::Var(_) | Expr::GlobalId(_) => {}
-        Expr::Load { index, .. } => visit(index, f),
-        Expr::Unary { arg, .. } | Expr::Cast { arg, .. } => visit(arg, f),
-        Expr::Bin { lhs, rhs, .. } | Expr::Cmp { lhs, rhs, .. } => {
-            visit(lhs, f);
-            visit(rhs, f);
-        }
-        Expr::Select { cond, then, els } => {
-            visit(cond, f);
-            visit(then, f);
-            visit(els, f);
         }
     }
 }

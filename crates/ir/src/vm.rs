@@ -59,11 +59,13 @@
 pub use crate::analysis::ParallelSafety;
 use crate::analysis::{self, ChunkPlan};
 use crate::array::FloatVec;
-use crate::ast::{Expr, Kernel, Param, Stmt};
+use crate::ast::{Expr, Kernel, Stmt};
 use crate::counts::OpCounts;
-use crate::interp::{resolve_type, ArgValue, BufferMap, ExecError, Launch};
+use crate::interp::{ArgValue, BufferMap, ExecError, Launch};
+use crate::typeck::{Cause, Resolved, Slot, SlotKind};
 use crate::types::{Precision, ScalarType};
 use crate::value::{promote, CmpOp, FloatBinOp, UnaryFn};
+use crate::verify::Refusal;
 use prescaler_fp16::F16;
 use std::collections::HashMap;
 use std::ops::Range;
@@ -384,108 +386,123 @@ impl Val {
 /// Compiles a kernel to bytecode.
 ///
 /// Kernels that pass [`crate::typeck::check_kernel`] always compile;
-/// malformed ones degrade into the same typed [`ExecError`]s the
-/// interpreter reports instead of panicking.
+/// the checker's verdict on the others maps onto the same typed
+/// [`ExecError`]s the interpreter reports, instead of a panic.
 ///
 /// # Errors
 ///
 /// Returns [`ExecError::UnboundVar`], [`ExecError::NotABuffer`], or
-/// [`ExecError::KindError`] for constructs the type checker rejects.
+/// [`ExecError::KindError`] for a kernel the type checker rejects.
 pub fn compile_kernel(kernel: &Kernel) -> Result<CompiledKernel, ExecError> {
+    let r = Resolved::checked(kernel).map_err(|e| match e.cause {
+        Cause::Unbound(name) => ExecError::UnboundVar(name),
+        Cause::NotABuffer(name) => ExecError::NotABuffer(name),
+        Cause::Kind => ExecError::KindError(e.message),
+    })?;
+    Ok(compile_resolved(&kernel.name, &r))
+}
+
+/// Type-checks, verifies and compiles a kernel from one name resolution
+/// (see [`crate::verify::admit`]).
+///
+/// # Errors
+///
+/// Returns the kernel's [`Refusal`]: its type error, else its
+/// Error-severity verifier diagnostics.
+pub fn compile_admitted(kernel: &Kernel) -> Result<CompiledKernel, Refusal> {
+    crate::verify::admitted(kernel).map(|r| compile_resolved(&kernel.name, &r))
+}
+
+fn compile_resolved(name: &str, r: &Resolved) -> CompiledKernel {
     let mut c = Compiler {
-        kernel,
+        r,
         ops: Vec::new(),
         counts_table: Vec::new(),
         pending: OpCounts::new(),
-        scopes: vec![HashMap::new()],
+        vars: vec![None; r.slots.len()],
         next_i: 2, // iregs 0/1 are get_global_id(0)/(1)
         next_f: 0,
         params: Vec::new(),
-        buf_index: HashMap::new(),
+        buf_index: vec![0; r.slots.len()],
     };
 
+    // Launch arguments bind by parameter slot.
     let mut arg_slots = HashMap::new();
     let mut n_bufs: u16 = 0;
-    let mut n_slots: u32 = 0;
-    for p in &kernel.params {
-        match p {
-            Param::Buffer { name, elem, .. } => {
+    for (slot, s) in r.slots.iter().enumerate() {
+        let name = s.name.clone();
+        match (&s.kind, s.ty) {
+            (SlotKind::Buffer(_), _) => {
                 // Buffers index the *buffer* binding list, which skips
                 // scalar parameters.
-                c.buf_index.insert(name.clone(), n_bufs);
+                c.buf_index[slot] = n_bufs;
                 n_bufs += 1;
                 c.params.push(ParamBind::Buffer {
-                    name: name.clone(),
-                    elem: *elem,
+                    name,
+                    elem: r.elem(slot),
                 });
             }
-            Param::Scalar { name, ty } => {
-                let slot = n_slots;
-                n_slots += 1;
-                arg_slots.insert(name.clone(), slot);
-                match resolve_type(kernel, ty)? {
-                    ScalarType::Int => {
-                        let reg = c.alloc_i();
-                        c.params.push(ParamBind::ScalarInt {
-                            name: name.clone(),
-                            reg,
-                            slot,
-                        });
-                        c.scopes[0].insert(name.clone(), (Val::I(reg), CTy::Int));
-                    }
-                    ScalarType::Float(prec) => {
-                        let reg = c.alloc_f();
-                        c.params.push(ParamBind::ScalarFloat {
-                            name: name.clone(),
-                            prec,
-                            reg,
-                            slot,
-                        });
-                        c.scopes[0].insert(name.clone(), (Val::F(reg), CTy::F(prec)));
-                    }
-                    ScalarType::Bool => {
-                        return Err(ExecError::KindError(format!(
-                            "parameter `{name}` declares a boolean type"
-                        )));
-                    }
-                }
+            (SlotKind::Scalar(_), ScalarType::Float(prec)) => {
+                let reg = c.alloc_f();
+                arg_slots.insert(name.clone(), slot as u32);
+                c.params.push(ParamBind::ScalarFloat {
+                    name,
+                    prec,
+                    reg,
+                    slot: slot as u32,
+                });
+                c.vars[slot] = Some((Val::F(reg), CTy::F(prec)));
             }
+            (SlotKind::Scalar(_), _) => {
+                let reg = c.alloc_i();
+                arg_slots.insert(name.clone(), slot as u32);
+                c.params.push(ParamBind::ScalarInt {
+                    name,
+                    reg,
+                    slot: slot as u32,
+                });
+                c.vars[slot] = Some((Val::I(reg), CTy::Int));
+            }
+            _ => break, // parameters come first
         }
     }
+    let n_arg_slots = c.params.len() as u32;
 
-    c.block(&kernel.body)?;
+    c.block(&r.body);
     c.flush();
     c.ops.push(Op::Halt);
 
     let mut dot_table = Vec::new();
     let ops = peephole(c.ops, &mut dot_table);
-    Ok(CompiledKernel {
-        name: kernel.name.clone(),
+    CompiledKernel {
+        name: name.to_owned(),
         ops,
         counts_table: c.counts_table,
         dot_table,
         params: c.params,
         arg_slots,
-        n_arg_slots: n_slots,
+        n_arg_slots,
         n_iregs: c.next_i,
         n_fregs: c.next_f,
-        safety: analysis::parallel_safety(kernel),
-    })
+        safety: analysis::parallel_safety_of(r),
+    }
 }
 
-struct Compiler<'k> {
-    kernel: &'k Kernel,
+struct Compiler<'r> {
+    r: &'r Resolved,
     ops: Vec<Op>,
     counts_table: Vec<OpCounts>,
     pending: OpCounts,
-    scopes: Vec<HashMap<String, (Val, CTy)>>,
+    /// Register and static type of each slot, once declared.
+    vars: Vec<Option<(Val, CTy)>>,
     next_i: u32,
     next_f: u32,
     params: Vec<ParamBind>,
-    buf_index: HashMap<String, u16>,
+    /// Buffer-binding index of each buffer slot.
+    buf_index: Vec<u16>,
 }
 
-impl<'k> Compiler<'k> {
+impl<'r> Compiler<'r> {
     fn alloc_i(&mut self) -> IReg {
         let r = self.next_i;
         self.next_i += 1;
@@ -498,22 +515,8 @@ impl<'k> Compiler<'k> {
         r
     }
 
-    fn lookup(&self, name: &str) -> Result<(Val, CTy), ExecError> {
-        for scope in self.scopes.iter().rev() {
-            if let Some(v) = scope.get(name) {
-                return Ok(*v);
-            }
-        }
-        Err(ExecError::UnboundVar(name.to_owned()))
-    }
-
-    /// The innermost scope, recreating the root scope if it was lost.
-    fn top_scope(&mut self) -> &mut HashMap<String, (Val, CTy)> {
-        if self.scopes.is_empty() {
-            self.scopes.push(HashMap::new());
-        }
-        let top = self.scopes.len() - 1;
-        &mut self.scopes[top]
+    fn var(&self, slot: Slot) -> (Val, CTy) {
+        self.vars[slot].expect("resolved: every use follows its declaration")
     }
 
     /// Flushes the pending straight-line counts as a `Count` op.
@@ -539,31 +542,17 @@ impl<'k> Compiler<'k> {
         }
     }
 
-    fn block(&mut self, stmts: &'k [Stmt]) -> Result<(), ExecError> {
+    fn block(&mut self, stmts: &[Stmt<Slot>]) {
         for s in stmts {
-            self.stmt(s)?;
+            self.stmt(s);
         }
-        Ok(())
     }
 
-    fn scoped(
-        &mut self,
-        f: impl FnOnce(&mut Self) -> Result<(), ExecError>,
-    ) -> Result<(), ExecError> {
-        self.scopes.push(HashMap::new());
-        let r = f(self);
-        self.scopes.pop();
-        r
-    }
-
-    fn stmt(&mut self, stmt: &'k Stmt) -> Result<(), ExecError> {
+    fn stmt(&mut self, stmt: &Stmt<Slot>) {
         match stmt {
             Stmt::Let { name, ty, value } => {
-                let declared = ty
-                    .as_ref()
-                    .map(|t| resolve_type(self.kernel, t))
-                    .transpose()?;
-                let (mut v, mut t) = self.expr(value, declared.and_then(ScalarType::precision))?;
+                let declared = ty.as_ref().map(|t| self.r.ty(t));
+                let (mut v, mut t) = self.expr(value, declared.and_then(ScalarType::precision));
                 if let Some(target) = declared {
                     (v, t) = self.coerce(v, t, target);
                 }
@@ -580,40 +569,27 @@ impl<'k> Compiler<'k> {
                         Val::F(dst)
                     }
                 };
-                self.top_scope().insert(name.clone(), (slot, t));
+                self.vars[*name] = Some((slot, t));
             }
             Stmt::Assign { name, value } => {
-                let (slot, t) = self.lookup(name)?;
+                let (slot, t) = self.var(*name);
                 let hint = t.precision();
-                let (v, vt) = self.expr(value, hint)?;
+                let (v, vt) = self.expr(value, hint);
                 let target = match t {
                     CTy::Int => ScalarType::Int,
                     CTy::F(p) => ScalarType::Float(p),
                     CTy::Bool => ScalarType::Bool,
                 };
                 let (v, _) = self.coerce(v, vt, target);
-                match (slot, v) {
-                    (Val::I(dst), Val::I(src)) => self.ops.push(Op::IMov { dst, src }),
-                    (Val::F(dst), Val::F(src)) => self.ops.push(Op::FMov { dst, src }),
-                    _ => {
-                        return Err(ExecError::KindError(format!(
-                            "assignment changes the kind of `{name}`"
-                        )));
-                    }
+                match slot {
+                    Val::I(dst) => self.ops.push(Op::IMov { dst, src: v.ireg() }),
+                    Val::F(dst) => self.ops.push(Op::FMov { dst, src: v.freg() }),
                 }
             }
             Stmt::Store { buf, index, value } => {
-                let Some(elem) = self.kernel.buffer_elem(buf) else {
-                    return Err(ExecError::NotABuffer(buf.clone()));
-                };
-                let (iv, it) = self.expr(index, None)?;
-                if it != CTy::Int {
-                    return Err(ExecError::KindError(format!(
-                        "index into `{buf}` must be an integer"
-                    )));
-                }
-                let idx = iv.ireg();
-                let (v, vt) = self.expr(value, Some(elem))?;
+                let elem = self.r.elem(*buf);
+                let idx = self.expr(index, None).0.ireg();
+                let (v, vt) = self.expr(value, Some(elem));
                 // Mirror the interpreter: a store converts unless the value
                 // is already a float of the element precision.
                 let (src, from) = match vt {
@@ -622,7 +598,7 @@ impl<'k> Compiler<'k> {
                         self.pending.converts += 1;
                         (v.freg(), p) // Store itself rounds to the element type
                     }
-                    CTy::Int => {
+                    CTy::Int | CTy::Bool => {
                         self.pending.converts += 1;
                         let dst = self.alloc_f();
                         self.ops.push(Op::IToF {
@@ -632,18 +608,10 @@ impl<'k> Compiler<'k> {
                         });
                         (dst, Precision::Double)
                     }
-                    CTy::Bool => {
-                        return Err(ExecError::KindError(format!(
-                            "cannot store a boolean into `{buf}`"
-                        )));
-                    }
                 };
                 self.pending.at_mut(elem).stores += 1;
-                let Some(&b) = self.buf_index.get(buf) else {
-                    return Err(ExecError::NotABuffer(buf.clone()));
-                };
                 self.ops.push(Op::Store {
-                    buf: b,
+                    buf: self.buf_index[*buf],
                     idx,
                     src,
                     from,
@@ -660,20 +628,13 @@ impl<'k> Compiler<'k> {
                 // producer). The end bound is read once, like the
                 // interpreter's `s..e`: a body that reassigns its source
                 // variable cannot change the trip count.
-                let (sv, st) = self.expr(start, None)?;
+                let sv = self.expr(start, None).0;
                 let var_reg = self.alloc_i();
-                if st == CTy::Int {
-                    self.ops.push(Op::IMov {
-                        dst: var_reg,
-                        src: sv.ireg(),
-                    });
-                }
-                let (ev, et) = self.expr(end, None)?;
-                if st != CTy::Int || et != CTy::Int {
-                    return Err(ExecError::KindError(format!(
-                        "loop bound for `{var}` must be an integer"
-                    )));
-                }
+                self.ops.push(Op::IMov {
+                    dst: var_reg,
+                    src: sv.ireg(),
+                });
+                let ev = self.expr(end, None).0;
                 let e = self.alloc_i();
                 self.ops.push(Op::IMov {
                     dst: e,
@@ -695,11 +656,8 @@ impl<'k> Compiler<'k> {
                 });
                 // Per-iteration loop bookkeeping (compare + increment).
                 self.pending.int_ops += 2;
-                self.scoped(|c| {
-                    c.top_scope()
-                        .insert(var.clone(), (Val::I(var_reg), CTy::Int));
-                    c.block(body)
-                })?;
+                self.vars[*var] = Some((Val::I(var_reg), CTy::Int));
+                self.block(body);
                 self.flush();
                 self.ops.push(Op::IAddImm {
                     dst: var_reg,
@@ -715,20 +673,14 @@ impl<'k> Compiler<'k> {
                 then_body,
                 else_body,
             } => {
-                let (cv, ct) = self.expr(cond, None)?;
-                if ct != CTy::Bool {
-                    return Err(ExecError::KindError(
-                        "if condition must be a boolean".to_owned(),
-                    ));
-                }
-                let c = cv.ireg();
+                let c = self.expr(cond, None).0.ireg();
                 self.flush();
                 let else_jump = self.ops.len();
                 self.ops.push(Op::JumpIfFalse {
                     cond: c,
                     target: u32::MAX,
                 });
-                self.scoped(|cc| cc.block(then_body))?;
+                self.block(then_body);
                 self.flush();
                 if else_body.is_empty() {
                     let after = self.here();
@@ -738,14 +690,13 @@ impl<'k> Compiler<'k> {
                     self.ops.push(Op::Jump(u32::MAX));
                     let else_start = self.here();
                     self.patch_jump(else_jump, else_start);
-                    self.scoped(|cc| cc.block(else_body))?;
+                    self.block(else_body);
                     self.flush();
                     let after = self.here();
                     self.patch_jump(end_jump, after);
                 }
             }
         }
-        Ok(())
     }
 
     /// Coerces a value to a scalar type, mirroring `Interp::coerce`
@@ -790,7 +741,7 @@ impl<'k> Compiler<'k> {
 
     /// Compiles an expression, mirroring `Interp::eval`'s hint threading.
     #[allow(clippy::too_many_lines)]
-    fn expr(&mut self, e: &'k Expr, hint: Option<Precision>) -> Result<(Val, CTy), ExecError> {
+    fn expr(&mut self, e: &Expr<Slot>, hint: Option<Precision>) -> (Val, CTy) {
         match e {
             Expr::FloatConst(v) => {
                 let p = hint.unwrap_or(Precision::Double);
@@ -801,44 +752,37 @@ impl<'k> Compiler<'k> {
                 };
                 let dst = self.alloc_f();
                 self.ops.push(Op::FConst { dst, v: rounded });
-                Ok((Val::F(dst), CTy::F(p)))
+                (Val::F(dst), CTy::F(p))
             }
             Expr::IntConst(v) => {
                 let dst = self.alloc_i();
                 self.ops.push(Op::IConst { dst, v: *v });
-                Ok((Val::I(dst), CTy::Int))
+                (Val::I(dst), CTy::Int)
             }
             Expr::GlobalId(d) => {
                 if *d < 2 {
-                    Ok((Val::I(*d as IReg), CTy::Int))
+                    (Val::I(*d as IReg), CTy::Int)
                 } else {
                     let dst = self.alloc_i();
                     self.ops.push(Op::IConst { dst, v: 0 });
-                    Ok((Val::I(dst), CTy::Int))
+                    (Val::I(dst), CTy::Int)
                 }
             }
-            Expr::Var(name) => self.lookup(name),
+            Expr::Var(slot) => self.var(*slot),
             Expr::Load { buf, index } => {
-                let (iv, it) = self.expr(index, None)?;
-                if it != CTy::Int {
-                    return Err(ExecError::KindError(format!(
-                        "index into `{buf}` must be an integer"
-                    )));
-                }
-                let idx = iv.ireg();
-                let Some(elem) = self.kernel.buffer_elem(buf) else {
-                    return Err(ExecError::NotABuffer(buf.clone()));
-                };
+                let idx = self.expr(index, None).0.ireg();
+                let elem = self.r.elem(*buf);
                 self.pending.at_mut(elem).loads += 1;
                 let dst = self.alloc_f();
-                let Some(&b) = self.buf_index.get(buf) else {
-                    return Err(ExecError::NotABuffer(buf.clone()));
-                };
-                self.ops.push(Op::Load { buf: b, idx, dst });
-                Ok((Val::F(dst), CTy::F(elem)))
+                self.ops.push(Op::Load {
+                    buf: self.buf_index[*buf],
+                    idx,
+                    dst,
+                });
+                (Val::F(dst), CTy::F(elem))
             }
             Expr::Unary { op, arg } => {
-                let (v, t) = self.expr(arg, hint)?;
+                let (v, t) = self.expr(arg, hint);
                 match t {
                     CTy::F(p) => {
                         self.pending.at_mut(p).count_unary(*op);
@@ -849,9 +793,9 @@ impl<'k> Compiler<'k> {
                             dst,
                             a: v.freg(),
                         });
-                        Ok((Val::F(dst), CTy::F(p)))
+                        (Val::F(dst), CTy::F(p))
                     }
-                    CTy::Int => {
+                    CTy::Int | CTy::Bool => {
                         self.pending.int_ops += 1;
                         match op {
                             UnaryFn::Neg | UnaryFn::Fabs => {
@@ -861,7 +805,7 @@ impl<'k> Compiler<'k> {
                                     dst,
                                     a: v.ireg(),
                                 });
-                                Ok((Val::I(dst), CTy::Int))
+                                (Val::I(dst), CTy::Int)
                             }
                             _ => {
                                 // sqrt/exp/log of an int computes in double.
@@ -878,22 +822,14 @@ impl<'k> Compiler<'k> {
                                     dst,
                                     a: wide,
                                 });
-                                Ok((Val::F(dst), CTy::F(Precision::Double)))
+                                (Val::F(dst), CTy::F(Precision::Double))
                             }
                         }
                     }
-                    CTy::Bool => Err(ExecError::KindError(
-                        "boolean passed to a math function".to_owned(),
-                    )),
                 }
             }
             Expr::Bin { op, lhs, rhs } => {
-                let (a, ta, b, tb) = self.pair(lhs, rhs, hint)?;
-                if ta == CTy::Bool || tb == CTy::Bool {
-                    return Err(ExecError::KindError(
-                        "boolean operand in arithmetic".to_owned(),
-                    ));
-                }
+                let (a, ta, b, tb) = self.pair(lhs, rhs, hint);
                 match (ta, tb) {
                     (CTy::Int, CTy::Int) => {
                         self.pending.int_ops += 1;
@@ -904,7 +840,7 @@ impl<'k> Compiler<'k> {
                             a: a.ireg(),
                             b: b.ireg(),
                         });
-                        Ok((Val::I(dst), CTy::Int))
+                        (Val::I(dst), CTy::Int)
                     }
                     _ => {
                         let p =
@@ -920,17 +856,12 @@ impl<'k> Compiler<'k> {
                             a: fa,
                             b: fb,
                         });
-                        Ok((Val::F(dst), CTy::F(p)))
+                        (Val::F(dst), CTy::F(p))
                     }
                 }
             }
             Expr::Cmp { op, lhs, rhs } => {
-                let (a, ta, b, tb) = self.pair(lhs, rhs, None)?;
-                if ta == CTy::Bool || tb == CTy::Bool {
-                    return Err(ExecError::KindError(
-                        "boolean operand in comparison".to_owned(),
-                    ));
-                }
+                let (a, ta, b, tb) = self.pair(lhs, rhs, None);
                 match (ta, tb) {
                     (CTy::Int, CTy::Int) => {
                         self.pending.int_ops += 1;
@@ -941,7 +872,7 @@ impl<'k> Compiler<'k> {
                             a: a.ireg(),
                             b: b.ireg(),
                         });
-                        Ok((Val::I(dst), CTy::Bool))
+                        (Val::I(dst), CTy::Bool)
                     }
                     _ => {
                         let p =
@@ -958,24 +889,18 @@ impl<'k> Compiler<'k> {
                             a: fa,
                             b: fb,
                         });
-                        Ok((Val::I(dst), CTy::Bool))
+                        (Val::I(dst), CTy::Bool)
                     }
                 }
             }
             Expr::Cast { to, arg } => {
-                let (v, t) = self.expr(arg, None)?;
-                let target = resolve_type(self.kernel, to)?;
-                Ok(self.coerce(v, t, target))
+                let (v, t) = self.expr(arg, None);
+                let target = self.r.ty(to);
+                self.coerce(v, t, target)
             }
             Expr::Select { cond, then, els } => {
-                let (cv, ct) = self.expr(cond, None)?;
-                if ct != CTy::Bool {
-                    return Err(ExecError::KindError(
-                        "select condition must be a boolean".to_owned(),
-                    ));
-                }
-                let c = cv.ireg();
-                let (a, ta, b, tb) = self.pair(then, els, hint)?;
+                let c = self.expr(cond, None).0.ireg();
+                let (a, ta, b, tb) = self.pair(then, els, hint);
                 match (ta, tb) {
                     (CTy::Int, CTy::Int) => {
                         let dst = self.alloc_i();
@@ -985,7 +910,7 @@ impl<'k> Compiler<'k> {
                             a: a.ireg(),
                             b: b.ireg(),
                         });
-                        Ok((Val::I(dst), CTy::Int))
+                        (Val::I(dst), CTy::Int)
                     }
                     (CTy::F(pa), CTy::F(pb)) => {
                         let p = pa.max(pb);
@@ -1006,11 +931,9 @@ impl<'k> Compiler<'k> {
                             a: fa,
                             b: fb,
                         });
-                        Ok((Val::F(dst), CTy::F(p)))
+                        (Val::F(dst), CTy::F(p))
                     }
-                    _ => Err(ExecError::KindError(
-                        "select arms disagree in kind".to_owned(),
-                    )),
+                    _ => unreachable!("checked: select arms agree in kind"),
                 }
             }
         }
@@ -1019,24 +942,24 @@ impl<'k> Compiler<'k> {
     /// Mirror of `Interp::eval_pair`'s weak-literal resolution.
     fn pair(
         &mut self,
-        lhs: &'k Expr,
-        rhs: &'k Expr,
+        lhs: &Expr<Slot>,
+        rhs: &Expr<Slot>,
         hint: Option<Precision>,
-    ) -> Result<(Val, CTy, Val, CTy), ExecError> {
+    ) -> (Val, CTy, Val, CTy) {
         let lw = lhs.is_weak_float();
         let rw = rhs.is_weak_float();
         if lw && !rw {
-            let (b, tb) = self.expr(rhs, hint)?;
-            let (a, ta) = self.expr(lhs, tb.precision())?;
-            Ok((a, ta, b, tb))
+            let (b, tb) = self.expr(rhs, hint);
+            let (a, ta) = self.expr(lhs, tb.precision());
+            (a, ta, b, tb)
         } else if rw && !lw {
-            let (a, ta) = self.expr(lhs, hint)?;
-            let (b, tb) = self.expr(rhs, ta.precision())?;
-            Ok((a, ta, b, tb))
+            let (a, ta) = self.expr(lhs, hint);
+            let (b, tb) = self.expr(rhs, ta.precision());
+            (a, ta, b, tb)
         } else {
-            let (a, ta) = self.expr(lhs, hint)?;
-            let (b, tb) = self.expr(rhs, hint)?;
-            Ok((a, ta, b, tb))
+            let (a, ta) = self.expr(lhs, hint);
+            let (b, tb) = self.expr(rhs, hint);
+            (a, ta, b, tb)
         }
     }
 
@@ -1044,8 +967,8 @@ impl<'k> Compiler<'k> {
     /// precision `p` (uncounted, mirroring `Scalar::binop`'s internal
     /// widening). An int rounds to `p` here, exactly as `Scalar::binop`
     /// rounds `i as f64` to the promoted precision, so the op's operands
-    /// are exact at `p` like every other float register. Callers reject
-    /// boolean operands before reaching here, so only ints widen.
+    /// are exact at `p` like every other float register. The type checker
+    /// rejects boolean operands, so only ints widen.
     fn float_operand(&mut self, v: Val, t: CTy, p: Precision) -> FReg {
         match t {
             CTy::F(_) | CTy::Bool => v.freg(),

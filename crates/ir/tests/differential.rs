@@ -16,7 +16,7 @@ use prescaler_ir::parse::parse_kernel;
 use prescaler_ir::print::kernel_to_string;
 use prescaler_ir::typeck::check_kernel;
 use prescaler_ir::vm::{compile_kernel, VmScratch};
-use prescaler_ir::{Access, Expr, FloatVec, Kernel, Precision, Stmt};
+use prescaler_ir::{Access, Expr, FloatVec, Kernel, Precision, ScalarType, Stmt};
 use proptest::prelude::*;
 use std::cell::RefCell;
 
@@ -135,6 +135,45 @@ fn arb_assign_m(in_loop: bool) -> BoxedStrategy<Stmt> {
         .boxed()
 }
 
+/// A loop or `if` whose body declares an inner `let` shadowing one of the
+/// outer locals `t0`/`t1`/`m` at a random precision or kind, assigns to
+/// the shadow and stores it, followed by a store of the outer local: the
+/// two bindings must stay apart in both engines.
+fn arb_shadow(in_loop: bool) -> BoxedStrategy<Vec<Stmt>> {
+    let shadow_ty = prop_oneof![
+        Just(ScalarType::Int),
+        arb_precision().prop_map(ScalarType::Float),
+    ];
+    (
+        (prop_oneof![Just("t0"), Just("t1"), Just("m")], shadow_ty),
+        (arb_int_expr(1, in_loop), arb_float_expr(1, in_loop, true)),
+        (-3i64..4, arb_float_lit()),
+        (0..BUF_LEN, 0..BUF_LEN),
+        (any::<bool>(), arb_int_expr(0, in_loop), 1i64..4),
+    )
+        .prop_map(
+            |((name, ty), (iinit, finit), (step, scale), (at, after), (as_loop, s, trips))| {
+                // The initializer still reads the outer binding.
+                let (init, update) = match ty {
+                    ScalarType::Int => (iinit, var(name) + int(step)),
+                    _ => (finit, var(name) * scale),
+                };
+                let body = vec![
+                    let_ty(name, ty, init),
+                    assign(name, update),
+                    store("b", int(at), var(name)),
+                ];
+                let block = if as_loop {
+                    for_("k", s.clone(), s + int(trips), body)
+                } else {
+                    if_else(lt(s, int(3)), body, vec![])
+                };
+                vec![block, store("b", int(after), var(name))]
+            },
+        )
+        .boxed()
+}
+
 /// Statements (bounded nesting). Only integer `if` conditions, so the
 /// static analysis stays exact.
 fn arb_stmts(depth: u32, in_loop: bool) -> BoxedStrategy<Vec<Stmt>> {
@@ -170,18 +209,21 @@ fn arb_stmts(depth: u32, in_loop: bool) -> BoxedStrategy<Vec<Stmt>> {
         ibody.clone(),
     )
         .prop_map(|(x, y, t, e)| if_else(lt(x, y), t, e));
+    let one = |s: Stmt| vec![s];
     proptest::collection::vec(
         prop_oneof![
-            3 => store_stmt,
-            1 => assign0,
-            1 => assign1,
-            1 => assign_m,
-            1 => for_stmt,
-            1 => for_m_stmt,
-            1 => if_stmt,
+            3 => store_stmt.prop_map(one),
+            1 => assign0.prop_map(one),
+            1 => assign1.prop_map(one),
+            1 => assign_m.prop_map(one),
+            1 => for_stmt.prop_map(one),
+            1 => for_m_stmt.prop_map(one),
+            1 => if_stmt.prop_map(one),
+            1 => arb_shadow(in_loop),
         ],
         1..4,
     )
+    .prop_map(|blocks| blocks.concat())
     .boxed()
 }
 

@@ -12,8 +12,8 @@ use crate::profile::{ObjectInfo, ProfileLog, Timeline, WriteStats};
 use crate::spec::ScalingSpec;
 use prescaler_ir::interp::{run_kernel, BufferMap, Launch};
 use prescaler_ir::passes::{insert_casts, retype_buffers};
-use prescaler_ir::typeck::check_kernel;
-use prescaler_ir::vm::{compile_kernel, CompiledKernel, VmScratch};
+use prescaler_ir::verify::{admit, Refusal};
+use prescaler_ir::vm::{compile_admitted, CompiledKernel, VmScratch};
 use prescaler_ir::{FloatVec, Param, Precision, Program, ScalarBound};
 use prescaler_sim::{Direction, FaultPlan, HostMethod, SimTime, SystemModel, TransferPlan};
 use std::collections::HashMap;
@@ -622,18 +622,18 @@ impl Session {
             }
             scaled
         };
+        // Each new variant is type-checked and verified once, from one
+        // name resolution, before it may run on either engine.
         let engine = if self.use_interpreter {
             let scaled = scale_variant(self);
-            check_kernel(&scaled)?;
-            reject_verifier_errors(&scaled)?;
+            admit(&scaled).map_err(|r| refused(&scaled, r))?;
             Engine::Interp(scaled)
         } else if let Some(c) = self.compiled.get(&variant_key) {
             Engine::Compiled(c.clone())
         } else {
             let scaled = scale_variant(self);
-            check_kernel(&scaled)?;
-            reject_verifier_errors(&scaled)?;
-            let c = std::sync::Arc::new(compile_kernel(&scaled)?);
+            let c = compile_admitted(&scaled).map_err(|r| refused(&scaled, r))?;
+            let c = std::sync::Arc::new(c);
             self.compiled.insert(variant_key, c.clone());
             Engine::Compiled(c)
         };
@@ -683,22 +683,21 @@ impl Session {
     }
 }
 
-/// Rejects a kernel carrying Error-severity verifier diagnostics —
-/// structurally broken IR must never reach compilation or execution.
-/// Warnings (dead stores, unused params) are the lint tool's business.
-fn reject_verifier_errors(kernel: &prescaler_ir::Kernel) -> Result<(), OclError> {
-    let errors: Vec<String> = prescaler_ir::verify_kernel(kernel)
-        .into_iter()
-        .filter(|d| d.severity() == prescaler_ir::Severity::Error)
-        .map(|d| d.to_string())
-        .collect();
-    if errors.is_empty() {
-        Ok(())
-    } else {
-        Err(OclError::Verify {
+/// The error for a refused kernel variant: its type error, else its
+/// Error-severity verifier diagnostics — structurally broken IR must
+/// never reach compilation or execution. Warnings (dead stores, unused
+/// params) are the lint tool's business.
+fn refused(kernel: &prescaler_ir::Kernel, refusal: Refusal) -> OclError {
+    match refusal {
+        Refusal::Type(e) => OclError::BadKernel(e),
+        Refusal::Diagnostics(ds) => OclError::Verify {
             kernel: kernel.name.clone(),
-            message: errors.join("; "),
-        })
+            message: ds
+                .iter()
+                .map(ToString::to_string)
+                .collect::<Vec<_>>()
+                .join("; "),
+        },
     }
 }
 

@@ -1,8 +1,7 @@
 #!/usr/bin/env bash
-# Performance benchmarks for the trial engine and the kernel VM.
+# Performance benchmarks for the trial engine, the kernel VM and serving.
 #
-# Runs the criterion-compat `decision_search` and `kernel_execution`
-# benches, then the `bench_search` binary, which times the full tune
+# Runs the `bench_search` binary, which times the full tune
 # pipeline wall-clock (min over several runs — the robust statistic on a
 # noisy host), reports charged trials and the trial-engine cache
 # hit-rate, and writes the results to BENCH_search.json at the repo
@@ -11,7 +10,9 @@
 # derived from it). The `bench_kernel` binary then times one
 # provably-disjoint gemm kernel with its buffers at f64, f32 and f16,
 # each sequentially and at each parallel thread budget (asserting
-# bit-equal outputs), and writes BENCH_kernel.json, recording
+# bit-equal outputs), times the reference interpreter on the same launch
+# (the VM-vs-interpreter ratio, asserting the VM matches it bit for bit),
+# and writes BENCH_kernel.json, recording
 # `host_cores` so the speedup column is honest for the machine it ran on.
 # The `bench_serve` binary times `Server::serve` on the serve_under_load
 # example's overloaded trace at 1, 2 and 8 workers (min-of-N wall ms,
@@ -19,9 +20,6 @@
 # writes BENCH_serve.json, also with `host_cores`.
 set -euo pipefail
 cd "$(dirname "$0")/.."
-
-cargo bench --offline -p prescaler-bench --bench decision_search
-cargo bench --offline -p prescaler-bench --bench kernel_execution
 
 # A min-of-N needs a real sample: never record fewer than 3 runs.
 iters="${1:-5}"

@@ -6,8 +6,8 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 cargo build --release --offline
-# Examples and benches must keep building too — a target that only the
-# default build compiles can rot silently.
+# Examples and the bench binaries must keep building too — a target that
+# only the default build compiles can rot silently.
 cargo build --release --offline --workspace --all-targets
 # The benchmark (BENCHMARK.json) is its own Cargo package with path
 # dependencies on the crates; build it so a crate API change cannot
@@ -122,10 +122,8 @@ for seed in 1 2 3; do
     fi
 done
 
-# Benchmarks must keep compiling, and the search benchmark binary doubles
-# as a perf smoke test (trial/cache accounting asserted deterministic).
-# Three iterations so the recorded BENCH_search.json min is taken over a
-# real sample, not a single (possibly unlucky) run; full timed runs live
-# in scripts/bench.sh.
-cargo bench --offline --no-run -p prescaler-bench
+# The search benchmark binary doubles as a perf smoke test (trial/cache
+# accounting asserted deterministic). Three iterations so the recorded
+# BENCH_search.json min is taken over a real sample, not a single
+# (possibly unlucky) run; full timed runs live in scripts/bench.sh.
 cargo run --release --offline -p prescaler-bench --bin bench_search 3
