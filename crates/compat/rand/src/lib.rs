@@ -1,7 +1,7 @@
 //! Offline shim of the `rand` API surface this workspace uses.
 //!
 //! Provides `rngs::StdRng`, `SeedableRng::seed_from_u64`, and
-//! `Rng::gen_range` over float and integer ranges, backed by a splitmix64
+//! `Rng::gen_range` over `f64` ranges, backed by a splitmix64
 //! generator. The stream is deterministic and stable across platforms but
 //! is **not** bit-compatible with upstream rand 0.8 (which uses ChaCha12
 //! for `StdRng`) — seeded inputs remain reproducible, just with different
@@ -63,41 +63,6 @@ impl SampleRange<f64> for RangeInclusive<f64> {
     }
 }
 
-impl SampleRange<f32> for Range<f32> {
-    fn sample<R: Rng>(self, rng: &mut R) -> f32 {
-        let v = (f64::from(self.start)..f64::from(self.end)).sample(rng) as f32;
-        if v >= self.end {
-            self.start
-        } else {
-            v
-        }
-    }
-}
-
-macro_rules! int_sample_range {
-    ($($t:ty),*) => {$(
-        impl SampleRange<$t> for Range<$t> {
-            fn sample<R: Rng>(self, rng: &mut R) -> $t {
-                assert!(self.start < self.end, "empty range");
-                let span = (self.end as i128 - self.start as i128) as u128;
-                let pick = (u128::from(rng.next_u64()) * span) >> 64;
-                (self.start as i128 + pick as i128) as $t
-            }
-        }
-        impl SampleRange<$t> for RangeInclusive<$t> {
-            fn sample<R: Rng>(self, rng: &mut R) -> $t {
-                let (lo, hi) = (*self.start(), *self.end());
-                assert!(lo <= hi, "empty range");
-                let span = (hi as i128 - lo as i128 + 1) as u128;
-                let pick = (u128::from(rng.next_u64()) * span) >> 64;
-                (lo as i128 + pick as i128) as $t
-            }
-        }
-    )*};
-}
-
-int_sample_range!(i8, i16, i32, i64, u8, u16, u32, u64, usize, isize);
-
 pub mod rngs {
     //! Concrete generators.
 
@@ -125,10 +90,6 @@ pub mod rngs {
             z ^ (z >> 31)
         }
     }
-
-    /// Alias of [`StdRng`]; upstream's `SmallRng` is a distinct algorithm
-    /// but this workspace only relies on determinism.
-    pub type SmallRng = StdRng;
 }
 
 #[cfg(test)]
@@ -150,8 +111,6 @@ mod tests {
         for _ in 0..100 {
             let v: f64 = c.gen_range(-1.0..=1.0);
             assert!((-1.0..=1.0).contains(&v));
-            let n: usize = c.gen_range(1..10);
-            assert!((1..10).contains(&n));
         }
     }
 }

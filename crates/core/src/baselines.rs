@@ -10,7 +10,7 @@ use crate::search::Evaluation;
 use prescaler_ir::Precision;
 use prescaler_ocl::{Event, PlanChoice, ScalingSpec};
 use prescaler_sim::{Direction, HostMethod};
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 /// Outcome of a baseline technique's search.
 #[derive(Clone, Debug)]
@@ -167,7 +167,7 @@ pub fn in_kernel(engine: &TrialEngine, toq: f64, max_trials: usize) -> Technique
 
         let mut spec = ScalingSpec::baseline();
         for (kernel, params) in &kernel_params {
-            let mut map = HashMap::new();
+            let mut map = BTreeMap::new();
             for (param, label) in params {
                 // A kernel argument bound to an object the profiler never
                 // saw: leave that parameter at full precision.

@@ -45,6 +45,7 @@
 
 use crate::profiler::AppProfile;
 use crate::search::Evaluation;
+use prescaler_faults::hash::Fnv1a;
 use prescaler_faults::{CrashPoint, SimulatedCrash, TearMode};
 use prescaler_ocl::{run_app_threaded, HostApp, PlanChoice, ScalingSpec};
 use prescaler_persist::{EvalBits, TrialJournal, TrialRecord};
@@ -122,12 +123,12 @@ impl<'a> TrialEngine<'a> {
         speculate: bool,
     ) -> Self {
         let faulty = !system.faults.is_inert();
-        let mut base = Fnv::new();
-        base.bytes(app.name().as_bytes());
-        base.bytes(system.name.as_bytes());
+        let mut base = Fnv1a::new();
+        field(&mut base, app.name());
+        field(&mut base, &system.name);
         // Hardware identity, not just the label: a journal recorded on
         // one machine must never replay into a tune for different metal.
-        base.u64(system.fingerprint());
+        base.write_u64(system.fingerprint());
         let engine = TrialEngine {
             app,
             system,
@@ -165,10 +166,10 @@ impl<'a> TrialEngine<'a> {
         // GEMM at other dims, inputs or gain must never replay here. Kept
         // out of `base_fp`, which also salts each trial's fault stream —
         // one engine serves one app, so its trials need no app identity.
-        let mut h = Fnv::new();
-        h.u64(self.base_fp);
-        h.u64(self.app.identity());
-        h.finish()
+        Fnv1a::new()
+            .write_u64(self.base_fp)
+            .write_u64(self.app.identity())
+            .finish()
     }
 
     /// Attaches a write-ahead journal and replays `recovered` records
@@ -443,45 +444,40 @@ impl<'a> TrialEngine<'a> {
         })
     }
 
-    /// Canonical fingerprint of a spec: FNV-1a over a sorted encoding of
-    /// every map, mixed with the app/system identity. Stable across runs
-    /// (no hasher randomness) because it doubles as the fault-fork salt.
+    /// Canonical fingerprint of a spec: FNV-1a over an encoding of every
+    /// map in its label order, mixed with the app/system identity. Stable
+    /// across runs because it doubles as the fault-fork salt.
     fn fingerprint(&self, spec: &ScalingSpec) -> u64 {
-        let mut h = Fnv::new();
-        h.u64(self.base_fp);
+        let mut h = Fnv1a::new();
+        h.write_u64(self.base_fp);
 
-        h.u8(1);
-        for (label, prec) in sorted(&spec.object_targets) {
-            h.bytes(label.as_bytes());
-            h.u8(prec_tag(*prec));
+        h.write_u8(1);
+        for (label, prec) in &spec.object_targets {
+            field(&mut h, label).write_u8(prec_tag(*prec));
         }
-        h.u8(2);
-        for (label, plan) in sorted(&spec.write_plans) {
-            h.bytes(label.as_bytes());
-            plan_bytes(&mut h, plan);
+        h.write_u8(2);
+        for (label, plan) in &spec.write_plans {
+            plan_bytes(field(&mut h, label), plan);
         }
-        h.u8(3);
-        for (label, plan) in sorted(&spec.read_plans) {
-            h.bytes(label.as_bytes());
-            plan_bytes(&mut h, plan);
+        h.write_u8(3);
+        for (label, plan) in &spec.read_plans {
+            plan_bytes(field(&mut h, label), plan);
         }
-        h.u8(4);
-        for (kernel, casts) in sorted(&spec.in_kernel) {
-            h.bytes(kernel.as_bytes());
-            for (param, prec) in sorted(casts) {
-                h.bytes(param.as_bytes());
-                h.u8(prec_tag(*prec));
+        h.write_u8(4);
+        for (kernel, casts) in &spec.in_kernel {
+            field(&mut h, kernel);
+            for (param, prec) in casts {
+                field(&mut h, param).write_u8(prec_tag(*prec));
             }
-            h.u8(0xFF); // kernel-map terminator
+            h.write_u8(0xFF); // kernel-map terminator
         }
         h.finish()
     }
 }
 
-fn sorted<V>(map: &HashMap<String, V>) -> Vec<(&String, &V)> {
-    let mut entries: Vec<_> = map.iter().collect();
-    entries.sort_by(|a, b| a.0.cmp(b.0));
-    entries
+/// Writes one string field followed by its `0` separator.
+fn field<'h>(h: &'h mut Fnv1a, s: &str) -> &'h mut Fnv1a {
+    h.write(s.as_bytes()).write_u8(0)
 }
 
 fn prec_tag(p: prescaler_ir::Precision) -> u8 {
@@ -492,51 +488,16 @@ fn prec_tag(p: prescaler_ir::Precision) -> u8 {
     }
 }
 
-fn plan_bytes(h: &mut Fnv, plan: &PlanChoice) {
-    h.u8(prec_tag(plan.intermediate));
+fn plan_bytes(h: &mut Fnv1a, plan: &PlanChoice) {
+    h.write_u8(prec_tag(plan.intermediate));
     match plan.host_method {
-        HostMethod::Loop => h.u8(0),
-        HostMethod::Multithread { threads } => {
-            h.u8(1);
-            h.u64(threads as u64);
-        }
-        HostMethod::Pipelined { threads, chunks } => {
-            h.u8(2);
-            h.u64(threads as u64);
-            h.u64(chunks as u64);
-        }
-    }
-}
-
-/// Minimal FNV-1a (64-bit) — the canonical, seed-free fingerprint hash.
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Fnv {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-
-    fn u8(&mut self, b: u8) {
-        self.0 ^= u64::from(b);
-        self.0 = self.0.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-
-    fn bytes(&mut self, bs: &[u8]) {
-        for &b in bs {
-            self.u8(b);
-        }
-        self.u8(0); // length/field separator
-    }
-
-    fn u64(&mut self, v: u64) {
-        for b in v.to_le_bytes() {
-            self.u8(b);
-        }
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
-    }
+        HostMethod::Loop => h.write_u8(0),
+        HostMethod::Multithread { threads } => h.write_u8(1).write_u64(threads as u64),
+        HostMethod::Pipelined { threads, chunks } => h
+            .write_u8(2)
+            .write_u64(threads as u64)
+            .write_u64(chunks as u64),
+    };
 }
 
 #[cfg(test)]

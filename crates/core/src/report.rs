@@ -10,6 +10,7 @@ use prescaler_ocl::{PlanChoice, ScalingSpec};
 use prescaler_persist::{snapshot, PersistError};
 use prescaler_sim::HostMethod;
 use serde::{Deserialize, Serialize};
+use std::collections::BTreeMap;
 use std::path::Path;
 
 /// How many memory objects ended up at each precision.
@@ -344,44 +345,37 @@ impl SpecSnapshot {
     /// Canonical snapshot of a spec.
     #[must_use]
     pub fn of(spec: &ScalingSpec) -> SpecSnapshot {
-        let mut targets: Vec<TargetEntry> = spec
-            .object_targets
-            .iter()
-            .map(|(label, &precision)| TargetEntry {
-                label: label.clone(),
-                precision,
-            })
-            .collect();
-        targets.sort_by(|a, b| a.label.cmp(&b.label));
-        let plans = |map: &std::collections::HashMap<String, PlanChoice>| {
-            let mut entries: Vec<PlanEntry> = map
-                .iter()
+        let plans = |map: &BTreeMap<String, PlanChoice>| {
+            map.iter()
                 .map(|(label, plan)| PlanEntry {
                     label: label.clone(),
                     intermediate: plan.intermediate,
                     host_method: plan.host_method,
                 })
-                .collect();
-            entries.sort_by(|a, b| a.label.cmp(&b.label));
-            entries
+                .collect()
         };
-        let mut in_kernel: Vec<KernelCastEntry> = spec
-            .in_kernel
-            .iter()
-            .flat_map(|(kernel, casts)| {
-                casts.iter().map(|(param, &precision)| KernelCastEntry {
-                    kernel: kernel.clone(),
-                    param: param.clone(),
+        SpecSnapshot {
+            targets: spec
+                .object_targets
+                .iter()
+                .map(|(label, &precision)| TargetEntry {
+                    label: label.clone(),
                     precision,
                 })
-            })
-            .collect();
-        in_kernel.sort_by(|a, b| (&a.kernel, &a.param).cmp(&(&b.kernel, &b.param)));
-        SpecSnapshot {
-            targets,
+                .collect(),
             write_plans: plans(&spec.write_plans),
             read_plans: plans(&spec.read_plans),
-            in_kernel,
+            in_kernel: spec
+                .in_kernel
+                .iter()
+                .flat_map(|(kernel, casts)| {
+                    casts.iter().map(|(param, &precision)| KernelCastEntry {
+                        kernel: kernel.clone(),
+                        param: param.clone(),
+                        precision,
+                    })
+                })
+                .collect(),
         }
     }
 

@@ -22,6 +22,7 @@ use crate::engine::TrialEngine;
 use crate::inspector::{valid_intermediate, InspectorDb, PlanKey, SystemInspector};
 use crate::profiler::{profile_app, AppProfile, ObjectProfile};
 use crate::static_prune::StaticAnalysis;
+use prescaler_faults::hash::Fnv1a;
 use prescaler_ir::Precision;
 use prescaler_ocl::{HostApp, OclError, PlanChoice, ScalingSpec};
 use prescaler_sim::{Direction, HostMethod, SimTime, SystemModel};
@@ -86,26 +87,22 @@ impl Tuned {
     /// equal digests mean the same decision was reached.
     #[must_use]
     pub fn decision_digest(&self) -> u64 {
-        // Canonical byte encoding (maps sorted, fields `;`-separated),
-        // folded through FNV-1a.
+        // Canonical byte encoding (maps in label order, fields
+        // `;`-separated), folded through FNV-1a.
         let prec = |p: Precision| match p {
             Precision::Half => "h",
             Precision::Single => "s",
             Precision::Double => "d",
         };
         let mut enc = String::new();
-        let mut sorted_targets: Vec<_> = self.config.object_targets.iter().collect();
-        sorted_targets.sort_by(|a, b| a.0.cmp(b.0));
-        for (label, p) in sorted_targets {
+        for (label, p) in &self.config.object_targets {
             enc.push_str(&format!("t:{label}={};", prec(*p)));
         }
         for (tag, plans) in [
             ("w", &self.config.write_plans),
             ("r", &self.config.read_plans),
         ] {
-            let mut sorted: Vec<_> = plans.iter().collect();
-            sorted.sort_by(|a, b| a.0.cmp(b.0));
-            for (label, plan) in sorted {
+            for (label, plan) in plans {
                 enc.push_str(&format!(
                     "{tag}:{label}={}/{:?};",
                     prec(plan.intermediate),
@@ -113,12 +110,8 @@ impl Tuned {
                 ));
             }
         }
-        let mut kernels: Vec<_> = self.config.in_kernel.iter().collect();
-        kernels.sort_by(|a, b| a.0.cmp(b.0));
-        for (kernel, casts) in kernels {
-            let mut sorted: Vec<_> = casts.iter().collect();
-            sorted.sort_by(|a, b| a.0.cmp(b.0));
-            for (param, p) in sorted {
+        for (kernel, casts) in &self.config.in_kernel {
+            for (param, p) in casts {
                 enc.push_str(&format!("k:{kernel}.{param}={};", prec(*p)));
             }
         }
@@ -131,12 +124,7 @@ impl Tuned {
             self.toq.to_bits(),
             self.system_fingerprint
         ));
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for b in enc.bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01B3);
-        }
-        h
+        Fnv1a::new().write(enc.as_bytes()).finish()
     }
 }
 

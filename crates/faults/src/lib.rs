@@ -24,6 +24,9 @@
 
 #![forbid(unsafe_code)]
 
+pub mod hash;
+
+use hash::{splitmix64, unit};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -264,17 +267,6 @@ impl PartialEq for FaultPlan {
     fn eq(&self, other: &FaultPlan) -> bool {
         self.config == other.config
     }
-}
-
-fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-fn unit(bits: u64) -> f64 {
-    (bits >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
 }
 
 impl FaultPlan {

@@ -266,6 +266,9 @@ impl ParWalk<'_> {
                 self.invalidate(body);
                 self.vals[*var] = PVal::Opaque;
                 self.walk(body);
+                // The body may run zero times or many, so after the loop
+                // its assignments are unknown too.
+                self.invalidate(body);
             }
             Stmt::If {
                 cond,
@@ -613,6 +616,21 @@ mod tests {
                 var("n"),
                 vec![store("c", var("j"), flit(0.0))],
             )]);
+        assert!(matches!(parallel_safety(&k), ParallelSafety::Unproven(_)));
+    }
+
+    #[test]
+    fn an_index_assigned_only_inside_a_loop_is_unproven() {
+        // `m = gid0` inside the loop, yet at `n = 0` the loop never runs
+        // and every work-item writes `c[0]`.
+        let k = kernel("zero_trip")
+            .buffer("c", Precision::Double, Access::ReadWrite)
+            .int_param("n")
+            .body(vec![
+                let_("m", int(0)),
+                for_("kk", int(0), var("n"), vec![assign("m", global_id(0))]),
+                store("c", var("m"), load("c", var("m")) + flit(1.0)),
+            ]);
         assert!(matches!(parallel_safety(&k), ParallelSafety::Unproven(_)));
     }
 

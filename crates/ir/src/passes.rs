@@ -19,7 +19,7 @@
 use crate::ast::{Access, Expr, Kernel, Param, Stmt, TypeRef};
 use crate::types::{Precision, ScalarType};
 use crate::value::{FloatBinOp, UnaryFn};
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 /// Returns a copy of `kernel` whose named buffers use new element
 /// precisions. Buffers absent from `map` are unchanged.
@@ -52,7 +52,7 @@ pub fn retype_buffers(kernel: &Kernel, map: &HashMap<String, Precision>) -> Kern
 /// * stores convert back to the buffer's element type implicitly (a real
 ///   conversion instruction, counted by both engines).
 #[must_use]
-pub fn insert_casts(kernel: &Kernel, compute: &HashMap<String, Precision>) -> Kernel {
+pub fn insert_casts(kernel: &Kernel, compute: &BTreeMap<String, Precision>) -> Kernel {
     let resolve_tr = |ty: &TypeRef| -> TypeRef {
         match ty {
             TypeRef::ElemOf(buf) => match compute.get(buf) {
@@ -66,7 +66,7 @@ pub fn insert_casts(kernel: &Kernel, compute: &HashMap<String, Precision>) -> Ke
     fn rewrite_expr(
         e: &Expr,
         kernel: &Kernel,
-        compute: &HashMap<String, Precision>,
+        compute: &BTreeMap<String, Precision>,
         resolve_tr: &dyn Fn(&TypeRef) -> TypeRef,
     ) -> Expr {
         let rec = |x: &Expr| rewrite_expr(x, kernel, compute, resolve_tr);
@@ -114,7 +114,7 @@ pub fn insert_casts(kernel: &Kernel, compute: &HashMap<String, Precision>) -> Ke
     fn rewrite_stmts(
         stmts: &[Stmt],
         kernel: &Kernel,
-        compute: &HashMap<String, Precision>,
+        compute: &BTreeMap<String, Precision>,
         resolve_tr: &dyn Fn(&TypeRef) -> TypeRef,
     ) -> Vec<Stmt> {
         stmts
@@ -430,7 +430,7 @@ mod tests {
     #[test]
     fn insert_casts_keeps_buffer_types_but_lowers_compute() {
         let k = sample_kernel();
-        let map = HashMap::from([
+        let map = BTreeMap::from([
             ("a".to_owned(), Precision::Half),
             ("c".to_owned(), Precision::Half),
         ]);
@@ -466,7 +466,7 @@ mod tests {
     #[test]
     fn insert_casts_is_identity_when_precisions_match() {
         let k = sample_kernel();
-        let map = HashMap::from([("a".to_owned(), Precision::Double)]);
+        let map = BTreeMap::from([("a".to_owned(), Precision::Double)]);
         let t = insert_casts(&k, &map);
         let mut casts = 0;
         crate::ast::visit_exprs(&t.body, &mut |e| {

@@ -15,6 +15,7 @@ use prescaler_ir::passes::{insert_casts, retype_buffers};
 use prescaler_ir::verify::{admit, Refusal};
 use prescaler_ir::vm::{compile_admitted, CompiledKernel, VmScratch};
 use prescaler_ir::{FloatVec, Param, Precision, Program, ScalarBound};
+use prescaler_sim::hash::{splitmix64, unit};
 use prescaler_sim::{Direction, FaultPlan, HostMethod, SimTime, SystemModel, TransferPlan};
 use std::collections::HashMap;
 
@@ -57,13 +58,6 @@ impl Default for RetryPolicy {
     }
 }
 
-fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 impl RetryPolicy {
     /// A policy that never retries (transient faults surface directly).
     #[must_use]
@@ -97,8 +91,7 @@ impl RetryPolicy {
         }
         let bits =
             splitmix64(self.jitter_seed ^ u64::from(attempt).wrapping_mul(0xA076_1D64_78BD_642F));
-        let unit = (bits >> 11) as f64 * (1.0 / (1u64 << 53) as f64);
-        exponential * (1.0 - self.jitter + 2.0 * self.jitter * unit).max(0.05)
+        exponential * (1.0 - self.jitter + 2.0 * self.jitter * unit(bits)).max(0.05)
     }
 }
 
@@ -202,17 +195,6 @@ impl Session {
     pub fn with_exec_threads(mut self, threads: usize) -> Session {
         self.exec_threads = threads.max(1);
         self
-    }
-
-    /// Sets the real worker-thread budget in place (clamped to at least 1).
-    pub fn set_exec_threads(&mut self, threads: usize) {
-        self.exec_threads = threads.max(1);
-    }
-
-    /// The active real worker-thread budget.
-    #[must_use]
-    pub fn exec_threads(&self) -> usize {
-        self.exec_threads
     }
 
     /// Bytes of buffer data this session's transfers have allocated: each
@@ -651,10 +633,9 @@ impl Session {
         }
         let result = match &engine {
             Engine::Interp(k) => run_kernel(k, &mut map, &launch),
-            Engine::Compiled(c) if self.exec_threads > 1 => {
+            Engine::Compiled(c) => {
                 c.run_parallel(&mut map, &launch, &mut self.scratch, self.exec_threads)
             }
-            Engine::Compiled(c) => c.run_with_scratch(&mut map, &launch, &mut self.scratch),
         };
         for (pname, id) in &buffer_args {
             if let Some(data) = map.remove(pname.as_str()) {
@@ -876,7 +857,7 @@ mod tests {
         let mut spec = ScalingSpec::baseline();
         spec.in_kernel.insert(
             "vscale".into(),
-            HashMap::from([
+            std::collections::BTreeMap::from([
                 ("x".to_owned(), Precision::Single),
                 ("y".to_owned(), Precision::Single),
             ]),

@@ -10,7 +10,7 @@
 
 use prescaler_ir::Precision;
 use prescaler_sim::{Direction, HostMethod};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// How one transfer leg converts: wire type plus host-side method.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -45,18 +45,20 @@ impl PlanChoice {
 /// A complete runtime scaling configuration.
 ///
 /// Objects or kernels absent from the maps run unscaled. The empty spec is
-/// the baseline program.
+/// the baseline program. Every map is ordered by label, so a spec always
+/// iterates in one canonical order: fingerprints, digests and snapshots
+/// encode it as they walk it, without sorting.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct ScalingSpec {
     /// Device storage precision per memory-object label.
-    pub object_targets: HashMap<String, Precision>,
+    pub object_targets: BTreeMap<String, Precision>,
     /// HtoD transfer plan per object label.
-    pub write_plans: HashMap<String, PlanChoice>,
+    pub write_plans: BTreeMap<String, PlanChoice>,
     /// DtoH transfer plan per object label.
-    pub read_plans: HashMap<String, PlanChoice>,
+    pub read_plans: BTreeMap<String, PlanChoice>,
     /// In-kernel compute precision per kernel → per buffer param
     /// (the Precimonious-style baseline; empty for memory-object scaling).
-    pub in_kernel: HashMap<String, HashMap<String, Precision>>,
+    pub in_kernel: BTreeMap<String, BTreeMap<String, Precision>>,
 }
 
 impl ScalingSpec {

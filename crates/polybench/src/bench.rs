@@ -2,10 +2,11 @@
 //! [`HostApp`].
 
 use crate::apps::{linalg, stats, stencil, vector};
-use crate::input::{fnv1a, InputGen, InputSet, FNV_OFFSET};
+use crate::input::{InputGen, InputSet};
 use crate::spec::{BenchKind, Dims};
 use prescaler_ir::{FloatVec, Program};
 use prescaler_ocl::{HostApp, OclError, Outputs, Session};
+use prescaler_sim::hash::Fnv1a;
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
@@ -168,15 +169,17 @@ impl HostApp for PolyApp {
     }
 
     fn identity(&self) -> u64 {
-        let mut h = fnv1a(FNV_OFFSET, self.kind.name().as_bytes());
-        h = fnv1a(h, &[0]);
-        h = fnv1a(h, self.input.label().as_bytes());
+        let mut h = Fnv1a::new();
+        h.write(self.kind.name().as_bytes())
+            .write_u8(0)
+            .write(self.input.label().as_bytes());
         let d = &self.dims;
         for word in [d.ni, d.nj, d.nk, d.tmax] {
-            h = fnv1a(h, &(word as u64).to_le_bytes());
+            h.write_u64(word as u64);
         }
-        h = fnv1a(h, &self.seed.to_le_bytes());
-        fnv1a(h, &self.gain.to_bits().to_le_bytes())
+        h.write_u64(self.seed)
+            .write_u64(self.gain.to_bits())
+            .finish()
     }
 
     fn program(&self) -> Program {

@@ -2,6 +2,7 @@
 //! Table 4: Default (per-benchmark value range), Image (0–255 luminance
 //! data standing in for ILSVRC-2012 images), and Random (0–1).
 
+use prescaler_sim::hash::Fnv1a;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -126,21 +127,9 @@ impl InputGen {
     }
 }
 
-/// FNV-1a offset basis.
-pub(crate) const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-
-/// FNV-1a over `bytes`, continuing from state `h`.
-pub(crate) fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
-}
-
 /// FNV-1a mix of a tag into a seed.
 fn mix_seed(seed: u64, tag: &str) -> u64 {
-    fnv1a(FNV_OFFSET ^ seed, tag.as_bytes())
+    Fnv1a::seeded(seed).write(tag.as_bytes()).finish()
 }
 
 #[cfg(test)]

@@ -39,6 +39,7 @@ use crate::error::ServeError;
 use crate::trace::{ArrivalTrace, Request};
 use prescaler_core::report::{ServeReport, ServeSummary};
 use prescaler_core::SpecSnapshot;
+use prescaler_faults::hash::Fnv1a;
 use prescaler_guard::{speculate, Guard, PreparedRun, SharedGuard};
 use prescaler_ocl::{HostApp, OclError, Outputs, ScalingSpec};
 use prescaler_sim::{SimTime, SystemModel};
@@ -233,39 +234,25 @@ impl Slot {
     }
 }
 
-const FNV_OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
-
-fn fnv1a_bytes(mut h: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        h = (h ^ u64::from(b)).wrapping_mul(FNV_PRIME);
-    }
-    h
-}
-
-fn fnv1a_u64(h: u64, v: u64) -> u64 {
-    fnv1a_bytes(h, &v.to_le_bytes())
-}
-
-/// Canonical digest of a scaling spec (via its sorted snapshot form, so
-/// equal specs always digest equally).
+/// Canonical digest of a scaling spec (via its snapshot form, so equal
+/// specs always digest equally).
 #[must_use]
 pub fn spec_digest(spec: &ScalingSpec) -> u64 {
     let json = serde_json::to_string(&SpecSnapshot::of(spec)).unwrap_or_default();
-    fnv1a_bytes(FNV_OFFSET, json.as_bytes())
+    Fnv1a::new().write(json.as_bytes()).finish()
 }
 
 /// Digest of an output set's exact bit patterns.
 #[must_use]
 pub fn output_digest(outputs: &Outputs) -> u64 {
-    let mut h = FNV_OFFSET;
+    let mut h = Fnv1a::new();
     for (label, data) in outputs {
-        h = fnv1a_bytes(h, label.as_bytes());
+        h.write(label.as_bytes());
         for i in 0..data.len() {
-            h = fnv1a_u64(h, data.get(i).to_bits());
+            h.write_u64(data.get(i).to_bits());
         }
     }
-    h
+    h.finish()
 }
 
 /// A multi-worker serving front-end over one guarded session.
@@ -324,7 +311,7 @@ impl Server {
             ..ServeSummary::default()
         };
         let mut outcomes = Vec::with_capacity(n);
-        let mut digest = FNV_OFFSET;
+        let mut digest = Fnv1a::new();
         let mut admission = Admission::new(&self.config);
         let mut shutting_down = false;
 
@@ -378,18 +365,17 @@ impl Server {
                 summary.overload_revalidation = true;
             }
 
-            digest = fnv1a_u64(digest, req.id);
-            digest = match &result {
-                Ok(s) => {
-                    let h = fnv1a_u64(digest, 0);
-                    let h = fnv1a_u64(h, s.spec_digest);
-                    let h = fnv1a_u64(h, s.output_digest);
-                    let h = fnv1a_u64(h, s.started.as_secs().to_bits());
-                    let h = fnv1a_u64(h, s.completed.as_secs().to_bits());
-                    let h = fnv1a_u64(h, u64::from(s.degraded));
-                    fnv1a_u64(h, s.canary_quality.map_or(u64::MAX, f64::to_bits))
-                }
-                Err(e) => fnv1a_u64(digest, u64::from(e.tag())),
+            digest.write_u64(req.id);
+            match &result {
+                Ok(s) => digest
+                    .write_u64(0)
+                    .write_u64(s.spec_digest)
+                    .write_u64(s.output_digest)
+                    .write_u64(s.started.as_secs().to_bits())
+                    .write_u64(s.completed.as_secs().to_bits())
+                    .write_u64(u64::from(s.degraded))
+                    .write_u64(s.canary_quality.map_or(u64::MAX, f64::to_bits)),
+                Err(e) => digest.write_u64(u64::from(e.tag())),
             };
             outcomes.push(RequestOutcome {
                 id: req.id,
@@ -401,7 +387,7 @@ impl Server {
         let report = ServeReport {
             summary,
             guard: self.guard.summary(),
-            outcome_digest: digest,
+            outcome_digest: digest.finish(),
             workers: self.config.workers.max(1) as u64,
             seed: trace.seed,
         };

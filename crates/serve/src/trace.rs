@@ -4,6 +4,7 @@
 //! outcomes a pure function of `(seed, trace, policy)` and therefore
 //! bit-identical at any worker count.
 
+use prescaler_faults::hash::{splitmix64, unit};
 use prescaler_faults::FaultPlan;
 use prescaler_sim::SimTime;
 
@@ -11,16 +12,10 @@ use prescaler_sim::SimTime;
 /// trace never advances (or depends on) the serving session's streams.
 const BURST_FORK_SALT: u64 = 0x5E2B_E515_7261_CE00;
 
-fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-/// A uniform draw in `(0, 1]` — never zero, so `ln` stays finite.
+/// A uniform draw in `(0, 1]` — never zero, so `ln` stays finite. Exact:
+/// [`unit`] is a multiple of 2^-53 below 1, so adding 2^-53 rounds nothing.
 fn unit_open(bits: u64) -> f64 {
-    (((bits >> 11) + 1) as f64) * (1.0 / (1u64 << 53) as f64)
+    unit(bits) + 1.0 / (1u64 << 53) as f64
 }
 
 /// One request in an arrival trace.

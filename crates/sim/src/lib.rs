@@ -45,6 +45,6 @@ pub use convert::{Direction, HostMethod, TransferCost, TransferPlan};
 pub use cpu::{CpuModel, SimdLevel};
 pub use gpu::{ComputeCapability, GpuModel, ThroughputTable};
 pub use pcie::PcieModel;
-pub use prescaler_faults::{Corruption, FaultConfig, FaultKind, FaultPlan, Poison};
+pub use prescaler_faults::{hash, Corruption, FaultConfig, FaultKind, FaultPlan, Poison};
 pub use system::SystemModel;
 pub use time::SimTime;

@@ -4,6 +4,7 @@ use crate::cpu::{CpuModel, SimdLevel};
 use crate::gpu::{ComputeCapability, GpuModel};
 use crate::pcie::PcieModel;
 use crate::time::SimTime;
+use prescaler_faults::hash::Fnv1a;
 use prescaler_faults::FaultPlan;
 use serde::{Deserialize, Serialize};
 
@@ -167,51 +168,29 @@ impl SystemModel {
     /// hardware, handled by revalidation, not a different system).
     #[must_use]
     pub fn fingerprint(&self) -> u64 {
-        let mut h = Fnv::new();
-        h.bytes(self.cpu.name.as_bytes());
-        h.u64(u64::from(self.cpu.cores));
-        h.u64(u64::from(self.cpu.threads));
-        h.u64(self.cpu.clock_ghz.to_bits());
-        h.u64(self.cpu.simd as u64);
-        h.u64(self.cpu.thread_spawn_base.as_secs().to_bits());
-        h.u64(self.cpu.thread_spawn_per_thread.as_secs().to_bits());
-        h.bytes(self.gpu.name.as_bytes());
-        h.bytes(self.gpu.compute_capability.version().as_bytes());
-        h.u64(u64::from(self.gpu.sms));
-        h.u64(self.gpu.clock_ghz.to_bits());
-        h.u64(self.gpu.mem_bandwidth_gbps.to_bits());
-        h.u64(self.gpu.global_mem_bytes);
-        h.u64(self.gpu.launch_latency.as_secs().to_bits());
-        h.u64(self.gpu.load_miss_rate.to_bits());
-        h.u64(u64::from(self.pcie.generation));
-        h.u64(u64::from(self.pcie.lanes));
-        h.u64(self.pcie.latency.as_secs().to_bits());
-        h.u64(self.enqueue_latency.as_secs().to_bits());
-        h.finish()
-    }
-}
-
-/// FNV-1a, matching the trial engine's spec-fingerprint discipline.
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Fnv {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-
-    fn bytes(&mut self, bytes: &[u8]) {
-        for b in bytes {
-            self.0 ^= u64::from(*b);
-            self.0 = self.0.wrapping_mul(0x100_0000_01B3);
-        }
-    }
-
-    fn u64(&mut self, v: u64) {
-        self.bytes(&v.to_le_bytes());
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
+        let cpu = &self.cpu;
+        let gpu = &self.gpu;
+        Fnv1a::new()
+            .write(cpu.name.as_bytes())
+            .write_u64(u64::from(cpu.cores))
+            .write_u64(u64::from(cpu.threads))
+            .write_u64(cpu.clock_ghz.to_bits())
+            .write_u64(cpu.simd as u64)
+            .write_u64(cpu.thread_spawn_base.as_secs().to_bits())
+            .write_u64(cpu.thread_spawn_per_thread.as_secs().to_bits())
+            .write(gpu.name.as_bytes())
+            .write(gpu.compute_capability.version().as_bytes())
+            .write_u64(u64::from(gpu.sms))
+            .write_u64(gpu.clock_ghz.to_bits())
+            .write_u64(gpu.mem_bandwidth_gbps.to_bits())
+            .write_u64(gpu.global_mem_bytes)
+            .write_u64(gpu.launch_latency.as_secs().to_bits())
+            .write_u64(gpu.load_miss_rate.to_bits())
+            .write_u64(u64::from(self.pcie.generation))
+            .write_u64(u64::from(self.pcie.lanes))
+            .write_u64(self.pcie.latency.as_secs().to_bits())
+            .write_u64(self.enqueue_latency.as_secs().to_bits())
+            .finish()
     }
 }
 

@@ -5,14 +5,14 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-cargo build --release --offline
+cargo build --release --offline --locked
 # Examples and the bench binaries must keep building too — a target that
 # only the default build compiles can rot silently.
-cargo build --release --offline --workspace --all-targets
+cargo build --release --offline --locked --workspace --all-targets
 # The benchmark (BENCHMARK.json) is its own Cargo package with path
 # dependencies on the crates; build it so a crate API change cannot
 # silently break it.
-cargo build --release --offline --manifest-path perfbench/Cargo.toml
+cargo build --release --offline --locked --manifest-path perfbench/Cargo.toml
 cargo test -q --workspace --offline
 # Default lints plus a curated clippy::pedantic subset, enforced
 # workspace-wide: consistent trailing semicolons, method-path closures,

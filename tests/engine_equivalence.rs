@@ -9,7 +9,7 @@ use prescaler_ir::{FloatVec, Precision};
 use prescaler_ocl::{HostApp, Outputs, ScalingSpec, Session, Timeline};
 use prescaler_polybench::{BenchKind, PolyApp};
 use prescaler_sim::SystemModel;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 fn run_with(app: &PolyApp, spec: &ScalingSpec, use_interp: bool) -> (Outputs, Timeline) {
     let mut session = Session::new(SystemModel::system1(), app.program(), spec.clone());
@@ -106,7 +106,7 @@ fn in_kernel_casts_agree() {
         let mut spec = ScalingSpec::baseline();
         // Lower every kernel's every buffer param to single, in-kernel.
         for kernel in &app.program().kernels {
-            let mut map = HashMap::new();
+            let mut map = BTreeMap::new();
             for b in kernel.buffer_names() {
                 map.insert(b.to_owned(), Precision::Single);
             }

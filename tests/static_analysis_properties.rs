@@ -19,7 +19,7 @@ use prescaler_ir::{Kernel, Program};
 use prescaler_ocl::{HostApp, ScalingSpec, Session};
 use prescaler_polybench::{BenchKind, InputSet, PolyApp};
 use prescaler_sim::{FaultPlan, SystemModel};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// Matrix seed from the environment, mixed into every plan seed so the
 /// CI fault matrix explores distinct universes per row.
@@ -154,7 +154,7 @@ fn assert_outputs_identical(app: &PolyApp, what: &str) {
             // The identity compute map: every buffer computes at its own
             // element precision. The pass still concretizes every
             // `ElemOf` type, so this exercises the whole rewrite.
-            let compute: HashMap<_, _> = k
+            let compute: BTreeMap<_, _> = k
                 .buffer_names()
                 .iter()
                 .map(|b| ((*b).to_owned(), k.buffer_elem(b).expect("buffer typed")))
